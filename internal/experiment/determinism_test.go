@@ -12,6 +12,13 @@ import (
 // string.
 func runAndRender(t *testing.T, id string, o Options) string {
 	t.Helper()
+	return strings.Join(renderTables(t, id, o), "")
+}
+
+// renderTables is runAndRender split per table: element i is table i
+// rendered aligned and as CSV.
+func renderTables(t *testing.T, id string, o Options) []string {
+	t.Helper()
 	tables, err := Run(id, o)
 	if err != nil {
 		t.Fatal(err)
@@ -19,7 +26,7 @@ func runAndRender(t *testing.T, id string, o Options) string {
 	if len(tables) == 0 {
 		t.Fatal("no tables")
 	}
-	var b strings.Builder
+	out := make([]string, 0, len(tables))
 	for _, tb := range tables {
 		if len(tb.Columns) == 0 {
 			t.Fatalf("table %s has no columns", tb.ID)
@@ -31,10 +38,9 @@ func runAndRender(t *testing.T, id string, o Options) string {
 		if !strings.Contains(s, tb.ID) {
 			t.Fatalf("table %s renders without its ID", tb.ID)
 		}
-		b.WriteString(s)
-		b.WriteString(tb.CSV())
+		out = append(out, s+tb.CSV())
 	}
-	return b.String()
+	return out
 }
 
 // TestAllExperimentsQuick smoke-runs every registered experiment at
@@ -42,8 +48,12 @@ func runAndRender(t *testing.T, id string, o Options) string {
 // same sweep: tables must be byte-identical at worker counts 1, 4, and
 // NumCPU for the same seed, because each run's PRNG stream is derived
 // positionally (runner.DeriveSeed) and results are collected in run
-// order. The heavier sweeps are skipped with -short.
+// order. The first worker count's tables are also checked against the
+// committed golden digests (see golden_test.go), so any behaviour change
+// shows up here rather than in a hand diff of EXPERIMENTS.md. The
+// heavier sweeps are skipped with -short.
 func TestAllExperimentsQuick(t *testing.T) {
+	golden := loadGolden(t)
 	heavy := map[string]bool{"c3": true, "c5": true, "c6": true, "f5": true, "stress": true}
 	counts := []int{1, 4}
 	if n := runtime.NumCPU(); n != 1 && n != 4 && !testing.Short() {
@@ -60,9 +70,11 @@ func TestAllExperimentsQuick(t *testing.T) {
 			for _, workers := range counts {
 				o := QuickOptions()
 				o.Workers = workers
-				got := runAndRender(t, id, o)
+				rendered := renderTables(t, id, o)
+				got := strings.Join(rendered, "")
 				if want == "" {
 					want = got
+					golden.check(t, id, rendered)
 					continue
 				}
 				if got != want {
