@@ -237,8 +237,13 @@ func (s *Scheme) IsBorder(v vcgrid.VC) bool {
 // BlockVCs returns the valid VCs of the hypercube h, i.e. the present
 // label slots of the (possibly incomplete at the grid edge) cube.
 func (s *Scheme) BlockVCs(h HID) []vcgrid.VC {
+	return s.AppendBlockVCs(nil, h)
+}
+
+// AppendBlockVCs appends BlockVCs(h) to out and returns the extended
+// slice, for callers that reuse a scratch buffer.
+func (s *Scheme) AppendBlockVCs(out []vcgrid.VC, h HID) []vcgrid.VC {
 	mx, my := s.MeshCoord(h)
-	var out []vcgrid.VC
 	for by := 0; by < s.blockH; by++ {
 		for bx := 0; bx < s.blockW; bx++ {
 			v := vcgrid.VC{CX: mx*s.blockW + bx, CY: my*s.blockH + by}

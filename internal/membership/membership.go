@@ -23,6 +23,7 @@ package membership
 
 import (
 	"math/bits"
+	"slices"
 	"sort"
 
 	"repro/internal/core"
@@ -265,14 +266,19 @@ type Service struct {
 	// merge runs once per received summary.
 	trOn bool
 
-	// Member-side state is sparse: only nodes that have joined a group
-	// (or owe one final empty report after leaving their last one) carry
-	// an entry, and active keeps their IDs sorted ascending so
-	// LocalRound visits them in exactly the order the old dense
-	// every-node scan did. Idle nodes in a mega-world cost nothing here.
-	members map[network.NodeID]*memberState
-	active  []network.NodeID // sorted keys of members
-	slots   []*slotState     // by CH slot index (grid.Count() lanes)
+	// Member-side state is a set of node bitsets: joined[g] holds the
+	// nodes that joined group g, so the per-reception member test
+	// (Joined) is one word load. Only nodes that have joined a group (or
+	// owe one final empty report after leaving their last one) are
+	// tracked, and active keeps their IDs sorted ascending so LocalRound
+	// visits them in exactly the order the old dense every-node scan
+	// did. A bitset costs one bit per node up to the highest member ID,
+	// so idle nodes in a mega-world cost next to nothing here.
+	joined   []nodeSet        // by Group
+	tracked  nodeSet          // the IDs in active
+	reported nodeSet          // sent a non-empty report last round
+	active   []network.NodeID // sorted tracked IDs
+	slots    []*slotState     // by CH slot index (grid.Count() lanes)
 	labels  int              // 2^dim, the in-cube label space
 	numHID  int              // hypercube count of the mesh tier
 	seq     uint64
@@ -283,8 +289,10 @@ type Service struct {
 
 	tickers []*des.Ticker
 
-	// roundSlots is sortedHeadSlots' reusable scratch.
+	// roundSlots is sortedHeadSlots' reusable scratch; roundVCs holds
+	// LocalRound's single home VC per member.
 	roundSlots []logicalid.CHID
+	roundVCs   []vcgrid.VC
 
 	// HTBroadcasts counts designated-CH broadcasts for overhead
 	// experiments.
@@ -299,11 +307,10 @@ func New(bb *core.Backbone, cfg Config) *Service {
 	s := &Service{
 		bb:      bb,
 		cfg:     cfg,
-		tr:      trace.Nop,
-		members: make(map[network.NodeID]*memberState),
-		slots:   make([]*slotState, bb.Scheme().Grid().Count()),
-		labels:  1 << uint(bb.Scheme().Dim()),
-		numHID:  bb.Scheme().NumHypercubes(),
+		tr:     trace.Nop,
+		slots:  make([]*slotState, bb.Scheme().Grid().Count()),
+		labels: 1 << uint(bb.Scheme().Dim()),
+		numHID: bb.Scheme().NumHypercubes(),
 	}
 	bb.HandleInner(LocalKind, s.onLocal)
 	bb.HandleInner(MNTKind, s.onMNT)
@@ -320,58 +327,85 @@ func (s *Service) SetTracer(t trace.Tracer) {
 	s.trOn = t != trace.Nop
 }
 
-// memberState is the member-side record of one node that currently
-// belongs to a group, or still owes its final empty report.
-type memberState struct {
-	joined   map[Group]bool
-	reported bool // sent a non-empty report last round
+// nodeSet is a bitset over node IDs, grown on demand.
+type nodeSet []uint64
+
+// has reports whether id is in the set; IDs beyond the set's length
+// (and NoNode) are not.
+func (b nodeSet) has(id network.NodeID) bool {
+	w := uint(id) >> 6
+	return w < uint(len(b)) && b[w]&(1<<(uint(id)&63)) != 0
 }
 
-// state returns the node's member record, materializing it (and
-// splicing the ID into the sorted active list) on first touch.
-func (s *Service) state(id network.NodeID) *memberState {
-	st := s.members[id]
-	if st == nil {
-		st = &memberState{joined: make(map[Group]bool)}
-		s.members[id] = st
-		i := sort.Search(len(s.active), func(i int) bool { return s.active[i] >= id })
-		s.active = append(s.active, 0)
-		copy(s.active[i+1:], s.active[i:])
-		s.active[i] = id
+func (b *nodeSet) add(id network.NodeID) {
+	w := int(uint(id) >> 6)
+	for len(*b) <= w {
+		*b = append(*b, 0)
 	}
-	return st
+	(*b)[w] |= 1 << (uint(id) & 63)
+}
+
+func (b nodeSet) remove(id network.NodeID) {
+	if w := uint(id) >> 6; w < uint(len(b)) {
+		b[w] &^= 1 << (uint(id) & 63)
+	}
+}
+
+// track marks the node as carrying member state, splicing its ID into
+// the sorted active list on first touch.
+func (s *Service) track(id network.NodeID) {
+	if s.tracked.has(id) {
+		return
+	}
+	s.tracked.add(id)
+	i, _ := slices.BinarySearch(s.active, id)
+	s.active = slices.Insert(s.active, i, id)
 }
 
 // Join records that the node joined the group (Figure 5 step 1); the
-// change propagates on the next Local-Membership round.
+// change propagates on the next Local-Membership round. Groups are
+// small non-negative integers: each one in use costs a bitset over the
+// node IDs that joined it.
 func (s *Service) Join(id network.NodeID, g Group) {
-	s.state(id).joined[g] = true
+	if g < 0 {
+		panic("membership: negative group")
+	}
+	s.track(id)
+	for len(s.joined) <= int(g) {
+		s.joined = append(s.joined, nil)
+	}
+	s.joined[g].add(id)
 }
 
 // Leave records that the node left the group.
 func (s *Service) Leave(id network.NodeID, g Group) {
-	if st := s.members[id]; st != nil {
-		delete(st.joined, g)
+	if uint(g) < uint(len(s.joined)) {
+		s.joined[g].remove(id)
 	}
+}
+
+// Joined reports whether the node has joined the group. It is the
+// member test of every multicast reception, so it neither allocates
+// nor probes a map.
+func (s *Service) Joined(id network.NodeID, g Group) bool {
+	return uint(g) < uint(len(s.joined)) && s.joined[g].has(id)
 }
 
 // GroupsOf returns the groups the node has joined, sorted.
 func (s *Service) GroupsOf(id network.NodeID) []Group {
-	st := s.members[id]
-	out := make([]Group, 0, len(st.joinedOrNil()))
-	for g := range st.joinedOrNil() {
-		out = append(out, g)
+	n := 0
+	for g := range s.joined {
+		if s.joined[g].has(id) {
+			n++
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	out := make([]Group, 0, n)
+	for g := range s.joined {
+		if s.joined[g].has(id) {
+			out = append(out, Group(g))
+		}
+	}
 	return out
-}
-
-// joinedOrNil tolerates absent member records.
-func (st *memberState) joinedOrNil() map[Group]bool {
-	if st == nil {
-		return nil
-	}
-	return st.joined
 }
 
 // Start schedules the three periodic rounds.
@@ -487,7 +521,6 @@ func (s *Service) LocalRound() {
 	// reported after its skip filter.
 	kept := s.active[:0]
 	for _, id := range s.active {
-		st := s.members[id]
 		n := net.Node(id)
 		if n == nil || !n.Up() {
 			kept = append(kept, id)
@@ -496,18 +529,23 @@ func (s *Service) LocalRound() {
 		// A node reports when it has memberships, plus one final empty
 		// report right after leaving its last group so the CH forgets it
 		// immediately; after that final report its record retires.
-		if len(st.joined) == 0 && !st.reported {
-			delete(s.members, id)
+		groups := s.GroupsOf(id)
+		if len(groups) == 0 && !s.reported.has(id) {
+			s.tracked.remove(id)
 			continue
 		}
 		kept = append(kept, id)
-		st.reported = len(st.joined) > 0
+		if len(groups) > 0 {
+			s.reported.add(id)
+		} else {
+			s.reported.remove(id)
+		}
 		pos := n.Fix().Pos
-		vcs := []vcgrid.VC{grid.VCOf(pos)}
+		s.roundVCs = append(s.roundVCs[:0], grid.VCOf(pos))
+		vcs := s.roundVCs
 		if s.cfg.MultiHome {
 			vcs = grid.Covering(pos)
 		}
-		groups := s.GroupsOf(n.ID)
 		msg := &localMsg{Member: n.ID, Groups: groups}
 		for _, vc := range vcs {
 			ch := cm.CHOf(vc)
@@ -594,14 +632,20 @@ func (s *Service) MNTSummary(slot logicalid.CHID) map[Group]int {
 // LocalMembers returns the nodes of the slot's cluster known to have
 // joined the group — the delivery set of Figure 6 step 6.
 func (s *Service) LocalMembers(slot logicalid.CHID, g Group) []network.NodeID {
-	st := s.slot(slot)
-	out := make([]network.NodeID, 0, len(st.localView[g]))
-	for id, seen := range st.localView[g] {
+	return s.AppendLocalMembers(make([]network.NodeID, 0, len(s.slot(slot).localView[g])), slot, g)
+}
+
+// AppendLocalMembers appends LocalMembers(slot, g) to out and returns
+// the extended slice, for callers that reuse a scratch buffer.
+func (s *Service) AppendLocalMembers(out []network.NodeID, slot logicalid.CHID, g Group) []network.NodeID {
+	mark := len(out)
+	for id, seen := range s.slot(slot).localView[g] {
 		if s.fresh(seen) {
 			out = append(out, id)
 		}
 	}
-	return network.SortedIDs(out)
+	network.SortedIDs(out[mark:])
+	return out
 }
 
 // MNTRound is Figure 5 step 3: every CH floods its MNT-Summary to all

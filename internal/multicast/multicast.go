@@ -59,6 +59,10 @@ func DefaultConfig() Config {
 }
 
 // header is the encapsulated routing state carried by DataKind packets.
+// It is immutable once on air: one packet shares a single inter-cube
+// header, and each hypercube entry one intra-cube header, across every
+// copy. The per-copy CH-to-CH hop count rides in
+// network.Packet.LogicalHops instead, so a fan-out allocates nothing.
 type header struct {
 	Group membership.Group
 	// MeshTree is parent pointers over hypercube IDs (step 2).
@@ -73,10 +77,12 @@ type header struct {
 	CubeHID   logicalid.HID
 	CubeTree  map[logicalid.CHID]logicalid.CHID
 	IntraCube bool
-	// LogicalHops counts CH-to-CH logical forwards for metrics.
-	LogicalHops int
 	// PayloadSize is the application payload in bytes.
 	PayloadSize int
+	// dedup is the packet's duplicate-suppression record, shared by
+	// every header derived from the one Send created (simulator state
+	// riding along, not an on-air field).
+	dedup *dedupRec
 }
 
 func (h *header) clone() *header {
@@ -115,16 +121,22 @@ type Service struct {
 	meshCache map[membership.Group]map[logicalid.HID]cachedMeshTree
 	cubeCache map[cubeKey]cachedCubeTree
 
-	seenCube  map[uint64]map[logicalid.HID]bool
-	seenSlot  map[uint64]map[logicalid.CHID]bool
-	seenLocal map[uint64]map[network.NodeID]bool
+	// seen lists the dedup records that hold state, by UID, for
+	// DeliveredTo, DeliveryCount and ForgetPacket; the forwarding path
+	// reaches a packet's record through its header instead.
+	seen map[uint64]*dedupRec
 
 	onDeliver []DeliverFunc
 
-	// childScratch is forwardWithinCube's reusable sorted-children
-	// buffer (forwarding is never reentrant: receptions arrive as
-	// separate simulator events).
-	childScratch []logicalid.CHID
+	// Reusable result buffers (forwarding is never reentrant:
+	// receptions arrive as separate simulator events). childScratch
+	// holds forwardWithinCube's sorted children, hidScratch
+	// enterCube's mesh-tree children, vcScratch forwardToCube's block
+	// VCs and memberScratch deliverLocal's local members.
+	childScratch  []logicalid.CHID
+	hidScratch    []logicalid.HID
+	vcScratch     []vcgrid.VC
+	memberScratch []network.NodeID
 
 	// Counters for experiments.
 	Sent          uint64
@@ -147,9 +159,7 @@ func New(bb *core.Backbone, ms *membership.Service, mux *network.Mux, cfg Config
 		tr:        trace.Nop,
 		meshCache: make(map[membership.Group]map[logicalid.HID]cachedMeshTree),
 		cubeCache: make(map[cubeKey]cachedCubeTree),
-		seenCube:  make(map[uint64]map[logicalid.HID]bool),
-		seenSlot:  make(map[uint64]map[logicalid.CHID]bool),
-		seenLocal: make(map[uint64]map[network.NodeID]bool),
+		seen:      make(map[uint64]*dedupRec),
 	}
 	bb.HandleInner(SourceKind, s.onSource)
 	bb.HandleInner(DataKind, s.onData)
@@ -195,18 +205,19 @@ func (s *Service) Send(src network.NodeID, g membership.Group, payloadSize int) 
 	uid := net.NextUID()
 	now := net.Sim().Now()
 	s.Sent++
-	hdr := &header{Group: g, PayloadSize: payloadSize}
+	hdr := &header{Group: g, PayloadSize: payloadSize, dedup: &dedupRec{uid: uid}}
 	if ch == src {
 		// The source is itself the CH: no radio hop to reach it.
 		slot := logicalid.CHID(grid.Index(vc))
-		s.enterMeshTier(slot, uid, now, hdr)
+		s.enterMeshTier(slot, uid, now, 0, hdr)
 		return uid
 	}
-	pkt := &network.Packet{
-		Kind: SourceKind, Src: src, Dst: ch, Group: int(g),
-		Size: payloadSize + s.cfg.HeaderBase, Born: now, UID: uid, Payload: hdr,
-	}
-	if !s.bb.Geo().Send(src, grid.Center(vc), ch, pkt) {
+	pkt := net.AcquirePacket()
+	pkt.Kind, pkt.Src, pkt.Dst, pkt.Group = SourceKind, src, ch, int(g)
+	pkt.Size, pkt.Born, pkt.UID, pkt.Payload = payloadSize+s.cfg.HeaderBase, now, uid, hdr
+	ok := s.bb.Geo().Send(src, grid.Center(vc), ch, pkt)
+	net.ReleasePacket(pkt)
+	if !ok {
 		return 0
 	}
 	return uid
@@ -222,15 +233,15 @@ func (s *Service) onSource(n *network.Node, _ network.NodeID, pkt *network.Packe
 	if slot < 0 {
 		return // CH role moved while the packet was in flight
 	}
-	s.enterMeshTier(slot, pkt.UID, pkt.Born, hdr)
+	s.enterMeshTier(slot, pkt.UID, pkt.Born, pkt.LogicalHops, hdr)
 }
 
 // enterMeshTier is Figure 6 step 2: compute the mesh-tier tree and start
 // distribution from the source CH's hypercube.
-func (s *Service) enterMeshTier(slot logicalid.CHID, uid uint64, born des.Time, hdr *header) {
+func (s *Service) enterMeshTier(slot logicalid.CHID, uid uint64, born des.Time, hops int, hdr *header) {
 	place := s.bb.Scheme().CHIDToPlace(slot)
 	hdr.MeshTree = s.meshTree(slot, place.HID, hdr.Group)
-	s.enterCube(slot, uid, born, hdr)
+	s.enterCube(slot, uid, born, hops, hdr)
 }
 
 // versions stamps the inputs tree construction reads: CH occupancy and
@@ -290,21 +301,19 @@ func (s *Service) meshTree(slot logicalid.CHID, root logicalid.HID, g membership
 
 // enterCube is Figure 6 step 4: first arrival of the packet in a
 // hypercube. The entry CH forwards toward next-hop hypercubes and fans
-// out within its own.
-func (s *Service) enterCube(slot logicalid.CHID, uid uint64, born des.Time, hdr *header) {
+// out within its own. hdr is the packet's inter-cube header and hops
+// the logical hops its copy has made so far.
+func (s *Service) enterCube(slot logicalid.CHID, uid uint64, born des.Time, hops int, hdr *header) {
 	place := s.bb.Scheme().CHIDToPlace(slot)
 	hid := place.HID
-	if s.seenCube[uid] == nil {
-		s.seenCube[uid] = make(map[logicalid.HID]bool)
-	}
-	if s.seenCube[uid][hid] {
+	if !s.mark(hdr.dedup, tagCube, int(hid)) {
 		return
 	}
-	s.seenCube[uid][hid] = true
 
 	// (1) Re-encapsulate toward next-hop hypercubes.
-	for _, child := range childrenHID(hdr.MeshTree, hid) {
-		s.forwardToCube(slot, child, uid, born, hdr)
+	s.hidScratch = network.Children(hdr.MeshTree, hid, s.hidScratch[:0])
+	for _, child := range s.hidScratch {
+		s.forwardToCube(slot, child, uid, born, hops+1, hdr)
 	}
 
 	// (2) Compute the hypercube-tier tree and fan out inside.
@@ -312,27 +321,25 @@ func (s *Service) enterCube(slot logicalid.CHID, uid uint64, born des.Time, hdr 
 	cubeHdr.CubeHID = hid
 	cubeHdr.CubeTree = s.cubeTree(slot, hid, hdr.Group)
 	cubeHdr.IntraCube = true
-	s.forwardWithinCube(slot, uid, born, cubeHdr)
-	s.deliverLocal(slot, uid, born, cubeHdr)
-}
-
-// childrenHID lists h's children in the mesh tree, in HID order:
-// forwarding order must not depend on map iteration, because every
-// transmission can draw from the sender's loss stream.
-func childrenHID(tree map[logicalid.HID]logicalid.HID, h logicalid.HID) []logicalid.HID {
-	return network.Children(tree, h, nil)
+	s.forwardWithinCube(slot, uid, born, hops, cubeHdr)
+	s.deliverLocal(slot, uid, born, hops, cubeHdr)
 }
 
 // forwardToCube sends the packet to an entry CH of the next-hop
 // hypercube by location-based unicast (Figure 6 step 3): the
-// geographically nearest CH slot of the target block.
-func (s *Service) forwardToCube(fromSlot logicalid.CHID, to logicalid.HID, uid uint64, born des.Time, hdr *header) {
+// geographically nearest CH slot of the target block. hdr is the
+// packet's inter-cube header and hops the copy's count after this hop.
+// Callers walk mesh-tree children in HID order (network.Children):
+// forwarding order must not depend on map iteration, because every
+// transmission can draw from the sender's loss stream.
+func (s *Service) forwardToCube(fromSlot logicalid.CHID, to logicalid.HID, uid uint64, born des.Time, hops int, hdr *header) {
 	scheme := s.bb.Scheme()
 	grid := scheme.Grid()
 	fromVC := grid.FromIndex(int(fromSlot))
 	var best logicalid.CHID = -1
 	bestDist := 1 << 30
-	for _, vc := range scheme.BlockVCs(to) {
+	s.vcScratch = scheme.AppendBlockVCs(s.vcScratch[:0], to)
+	for _, vc := range s.vcScratch {
 		if s.bb.Clusters().CHOf(vc) == network.NoNode {
 			continue
 		}
@@ -345,15 +352,20 @@ func (s *Service) forwardToCube(fromSlot logicalid.CHID, to logicalid.HID, uid u
 			"uid %d: hypercube %d has no CH to enter", uid, to)
 		return
 	}
-	out := hdr.clone()
-	out.IntraCube = false
-	out.CubeTree = nil
-	out.LogicalHops++
-	pkt := &network.Packet{
-		Kind: DataKind, Src: s.bb.CHNodeOf(fromSlot), Dst: s.bb.CHNodeOf(best),
-		Group: int(hdr.Group), Size: s.packetSize(out), Born: born, UID: uid, Payload: out,
-	}
-	s.bb.Geo().Send(s.bb.CHNodeOf(fromSlot), grid.Center(grid.FromIndex(int(best))), s.bb.CHNodeOf(best), pkt)
+	pkt := s.dataPacket(s.bb.CHNodeOf(fromSlot), s.bb.CHNodeOf(best), uid, born, hops, hdr)
+	s.bb.Geo().Send(pkt.Src, grid.Center(grid.FromIndex(int(best))), pkt.Dst, pkt)
+	s.bb.Net().ReleasePacket(pkt)
+}
+
+// dataPacket fills a pooled DataKind packet carrying hdr. The caller
+// releases it after sending; geo-routed sends keep it alive inside
+// their envelopes until the last hop ends.
+func (s *Service) dataPacket(src, dst network.NodeID, uid uint64, born des.Time, hops int, hdr *header) *network.Packet {
+	pkt := s.bb.Net().AcquirePacket()
+	pkt.Kind, pkt.Src, pkt.Dst, pkt.Group = DataKind, src, dst, int(hdr.Group)
+	pkt.Size, pkt.Born, pkt.UID, pkt.Payload = s.packetSize(hdr), born, uid, hdr
+	pkt.LogicalHops = hops
+	return pkt
 }
 
 // cubeTree returns the (possibly cached) hypercube-tier tree for the
@@ -420,7 +432,7 @@ func (s *Service) logicalTreeWithin(hid logicalid.HID, root logicalid.CHID, dest
 // hypercube-tier tree along 1-logical-hop routes. Children forward in
 // slot order (not map order) so the senders' loss streams see a
 // deterministic transmission sequence.
-func (s *Service) forwardWithinCube(slot logicalid.CHID, uid uint64, born des.Time, hdr *header) {
+func (s *Service) forwardWithinCube(slot logicalid.CHID, uid uint64, born des.Time, hops int, hdr *header) {
 	for _, childSlot := range s.cubeChildren(hdr.CubeTree, slot) {
 		if s.bb.CHNodeOf(childSlot) == network.NoNode {
 			continue // CH vanished since the tree was computed
@@ -432,13 +444,9 @@ func (s *Service) forwardWithinCube(slot logicalid.CHID, uid uint64, born des.Ti
 				continue
 			}
 		}
-		out := hdr.clone()
-		out.LogicalHops++
-		pkt := &network.Packet{
-			Kind: DataKind, Src: s.bb.CHNodeOf(slot), Dst: s.bb.CHNodeOf(childSlot),
-			Group: int(hdr.Group), Size: s.packetSize(out), Born: born, UID: uid, Payload: out,
-		}
+		pkt := s.dataPacket(s.bb.CHNodeOf(slot), s.bb.CHNodeOf(childSlot), uid, born, hops+1, hdr)
 		s.bb.SendLogical(slot, childSlot, pkt)
+		s.bb.Net().ReleasePacket(pkt)
 	}
 }
 
@@ -453,24 +461,21 @@ func (s *Service) onData(n *network.Node, _ network.NodeID, pkt *network.Packet)
 		return
 	}
 	if !hdr.IntraCube {
-		s.enterCube(slot, pkt.UID, pkt.Born, hdr)
+		s.enterCube(slot, pkt.UID, pkt.Born, pkt.LogicalHops, hdr)
 		return
 	}
-	if s.seenSlot[pkt.UID] == nil {
-		s.seenSlot[pkt.UID] = make(map[logicalid.CHID]bool)
-	}
-	if s.seenSlot[pkt.UID][slot] {
+	if !s.mark(hdr.dedup, tagSlot, int(slot)) {
 		return
 	}
-	s.seenSlot[pkt.UID][slot] = true
-	s.forwardWithinCube(slot, pkt.UID, pkt.Born, hdr)
-	s.deliverLocal(slot, pkt.UID, pkt.Born, hdr)
+	s.forwardWithinCube(slot, pkt.UID, pkt.Born, pkt.LogicalHops, hdr)
+	s.deliverLocal(slot, pkt.UID, pkt.Born, pkt.LogicalHops, hdr)
 }
 
 // deliverLocal is Figure 6 step 6: when the MNT view shows local group
 // members, broadcast once into the cluster.
-func (s *Service) deliverLocal(slot logicalid.CHID, uid uint64, born des.Time, hdr *header) {
-	members := s.ms.LocalMembers(slot, hdr.Group)
+func (s *Service) deliverLocal(slot logicalid.CHID, uid uint64, born des.Time, hops int, hdr *header) {
+	s.memberScratch = s.ms.AppendLocalMembers(s.memberScratch[:0], slot, hdr.Group)
+	members := s.memberScratch
 	ch := s.bb.CHNodeOf(slot)
 	if ch == network.NoNode {
 		return
@@ -478,50 +483,38 @@ func (s *Service) deliverLocal(slot logicalid.CHID, uid uint64, born des.Time, h
 	// The CH itself may be a member: deliver without radio traffic.
 	for _, m := range members {
 		if m == ch {
-			s.recordDelivery(m, uid, born, hdr)
+			s.recordDelivery(m, uid, born, hops, hdr)
 		}
 	}
 	if len(members) == 0 || (len(members) == 1 && members[0] == ch) {
 		return
 	}
-	pkt := &network.Packet{
-		Kind: LocalKind, Src: ch, Dst: network.NoNode, Group: int(hdr.Group),
-		Size: hdr.PayloadSize + s.cfg.HeaderBase, Born: born, UID: uid, Payload: hdr,
-	}
-	s.bb.Net().Broadcast(ch, pkt)
+	net := s.bb.Net()
+	pkt := net.AcquirePacket()
+	pkt.Kind, pkt.Src, pkt.Dst, pkt.Group = LocalKind, ch, network.NoNode, int(hdr.Group)
+	pkt.Size, pkt.Born, pkt.UID, pkt.Payload = hdr.PayloadSize+s.cfg.HeaderBase, born, uid, hdr
+	pkt.LogicalHops = hops
+	net.Broadcast(ch, pkt)
+	net.ReleasePacket(pkt)
 }
 
-// onLocal runs at every node hearing a cluster-local broadcast.
+// onLocal runs at every node hearing a cluster-local broadcast — most
+// of them non-members — so it must not allocate.
 func (s *Service) onLocal(n *network.Node, _ network.NodeID, pkt *network.Packet) {
 	hdr, ok := pkt.Payload.(*header)
-	if !ok {
+	if !ok || !s.ms.Joined(n.ID, hdr.Group) {
 		return
 	}
-	groups := s.ms.GroupsOf(n.ID)
-	joined := false
-	for _, g := range groups {
-		if g == hdr.Group {
-			joined = true
-			break
-		}
-	}
-	if !joined {
-		return
-	}
-	s.recordDelivery(n.ID, pkt.UID, pkt.Born, hdr)
+	s.recordDelivery(n.ID, pkt.UID, pkt.Born, pkt.LogicalHops, hdr)
 }
 
-func (s *Service) recordDelivery(member network.NodeID, uid uint64, born des.Time, hdr *header) {
-	if s.seenLocal[uid] == nil {
-		s.seenLocal[uid] = make(map[network.NodeID]bool)
-	}
-	if s.seenLocal[uid][member] {
+func (s *Service) recordDelivery(member network.NodeID, uid uint64, born des.Time, hops int, hdr *header) {
+	if !s.mark(hdr.dedup, tagMember, int(member)) {
 		return
 	}
-	s.seenLocal[uid][member] = true
 	s.Delivered++
 	for _, f := range s.onDeliver {
-		f(member, uid, born, hdr.LogicalHops)
+		f(member, uid, born, hops)
 	}
 }
 
@@ -535,18 +528,39 @@ func (s *Service) packetSize(hdr *header) int {
 	return size
 }
 
+// mark records tag|id in the packet's dedup record and reports whether
+// it was new, listing the record under its UID on its first entry.
+func (s *Service) mark(r *dedupRec, tag uint32, id int) bool {
+	if !r.add(tag, id) {
+		return false
+	}
+	if !r.listed {
+		r.listed = true
+		s.seen[r.uid] = r
+	}
+	return true
+}
+
 // DeliveredTo reports whether the packet uid reached the member.
 func (s *Service) DeliveredTo(uid uint64, member network.NodeID) bool {
-	return s.seenLocal[uid][member]
+	r := s.seen[uid]
+	return r != nil && r.has(tagMember, int(member))
 }
 
 // DeliveryCount returns how many distinct members received the uid.
-func (s *Service) DeliveryCount(uid uint64) int { return len(s.seenLocal[uid]) }
+func (s *Service) DeliveryCount(uid uint64) int {
+	if r := s.seen[uid]; r != nil {
+		return r.members
+	}
+	return 0
+}
 
 // ForgetPacket releases dedup state for a uid (long experiments call it
-// to bound memory).
+// to bound memory). Copies still in flight then dedup against an empty
+// record, exactly as if the uid had never been seen.
 func (s *Service) ForgetPacket(uid uint64) {
-	delete(s.seenCube, uid)
-	delete(s.seenSlot, uid)
-	delete(s.seenLocal, uid)
+	if r := s.seen[uid]; r != nil {
+		r.reset()
+		delete(s.seen, uid)
+	}
 }

@@ -55,6 +55,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"strings"
 
 	"repro/internal/des"
@@ -91,6 +92,10 @@ type Packet struct {
 	// Hops counts physical transmissions so far; the network increments
 	// it on every delivery.
 	Hops int
+	// LogicalHops counts overlay-level forwards (HVDB's CH-to-CH hops);
+	// the network never touches it. Carrying it per copy lets a
+	// protocol share one immutable routing header across a fan-out.
+	LogicalHops int
 	// Born is the simulated time the packet's application payload was
 	// created, for end-to-end delay measurement across re-encapsulation.
 	Born des.Time
@@ -1230,6 +1235,10 @@ func (w *Network) Broadcast(from NodeID, pkt *Packet) int {
 	w.account(&w.laneState, src, pkt)
 	sp := w.truePos(src)
 	t := w.allocTransmission()
+	// Size a fresh (or smaller) record once instead of growing it by
+	// doubling: records recycle, so this settles at the peak degree.
+	t.ids = slices.Grow(t.ids, len(nbrs))
+	t.at = slices.Grow(t.at, len(nbrs))
 	for i, to := range nbrs {
 		if src.Radio.Lost(&src.rng) {
 			w.lost++
