@@ -22,6 +22,8 @@
 package multicast
 
 import (
+	"slices"
+
 	"repro/internal/core"
 	"repro/internal/des"
 	"repro/internal/logicalid"
@@ -233,7 +235,7 @@ func (s *Service) onSource(n *network.Node, _ network.NodeID, pkt *network.Packe
 	if slot < 0 {
 		return // CH role moved while the packet was in flight
 	}
-	s.enterMeshTier(slot, pkt.UID, pkt.Born, pkt.LogicalHops, hdr)
+	s.enterMeshTier(slot, pkt.UID, pkt.Born, int(pkt.LogicalHops), hdr)
 }
 
 // enterMeshTier is Figure 6 step 2: compute the mesh-tier tree and start
@@ -364,7 +366,7 @@ func (s *Service) dataPacket(src, dst network.NodeID, uid uint64, born des.Time,
 	pkt := s.bb.Net().AcquirePacket()
 	pkt.Kind, pkt.Src, pkt.Dst, pkt.Group = DataKind, src, dst, int(hdr.Group)
 	pkt.Size, pkt.Born, pkt.UID, pkt.Payload = s.packetSize(hdr), born, uid, hdr
-	pkt.LogicalHops = hops
+	pkt.LogicalHops = int32(hops)
 	return pkt
 }
 
@@ -461,39 +463,39 @@ func (s *Service) onData(n *network.Node, _ network.NodeID, pkt *network.Packet)
 		return
 	}
 	if !hdr.IntraCube {
-		s.enterCube(slot, pkt.UID, pkt.Born, pkt.LogicalHops, hdr)
+		s.enterCube(slot, pkt.UID, pkt.Born, int(pkt.LogicalHops), hdr)
 		return
 	}
 	if !s.mark(hdr.dedup, tagSlot, int(slot)) {
 		return
 	}
-	s.forwardWithinCube(slot, pkt.UID, pkt.Born, pkt.LogicalHops, hdr)
-	s.deliverLocal(slot, pkt.UID, pkt.Born, pkt.LogicalHops, hdr)
+	s.forwardWithinCube(slot, pkt.UID, pkt.Born, int(pkt.LogicalHops), hdr)
+	s.deliverLocal(slot, pkt.UID, pkt.Born, int(pkt.LogicalHops), hdr)
 }
 
 // deliverLocal is Figure 6 step 6: when the MNT view shows local group
 // members, broadcast once into the cluster.
 func (s *Service) deliverLocal(slot logicalid.CHID, uid uint64, born des.Time, hops int, hdr *header) {
 	s.memberScratch = s.ms.AppendLocalMembers(s.memberScratch[:0], slot, hdr.Group)
-	members := s.memberScratch
 	ch := s.bb.CHNodeOf(slot)
 	if ch == network.NoNode {
 		return
 	}
+	// Read the scratch before any observer runs: one may send again.
+	_, self := slices.BinarySearch(s.memberScratch, ch)
+	others := len(s.memberScratch) > 1 || (len(s.memberScratch) == 1 && !self)
 	// The CH itself may be a member: deliver without radio traffic.
-	for _, m := range members {
-		if m == ch {
-			s.recordDelivery(m, uid, born, hops, hdr)
-		}
+	if self {
+		s.recordDelivery(ch, uid, born, hops, hdr)
 	}
-	if len(members) == 0 || (len(members) == 1 && members[0] == ch) {
+	if !others {
 		return
 	}
 	net := s.bb.Net()
 	pkt := net.AcquirePacket()
 	pkt.Kind, pkt.Src, pkt.Dst, pkt.Group = LocalKind, ch, network.NoNode, int(hdr.Group)
 	pkt.Size, pkt.Born, pkt.UID, pkt.Payload = hdr.PayloadSize+s.cfg.HeaderBase, born, uid, hdr
-	pkt.LogicalHops = hops
+	pkt.LogicalHops = int32(hops)
 	net.Broadcast(ch, pkt)
 	net.ReleasePacket(pkt)
 }
@@ -505,7 +507,7 @@ func (s *Service) onLocal(n *network.Node, _ network.NodeID, pkt *network.Packet
 	if !ok || !s.ms.Joined(n.ID, hdr.Group) {
 		return
 	}
-	s.recordDelivery(n.ID, pkt.UID, pkt.Born, pkt.LogicalHops, hdr)
+	s.recordDelivery(n.ID, pkt.UID, pkt.Born, int(pkt.LogicalHops), hdr)
 }
 
 func (s *Service) recordDelivery(member network.NodeID, uid uint64, born des.Time, hops int, hdr *header) {

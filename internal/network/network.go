@@ -89,13 +89,14 @@ type Packet struct {
 	Size int
 	// Control marks protocol overhead as opposed to application data.
 	Control bool
-	// Hops counts physical transmissions so far; the network increments
-	// it on every delivery.
-	Hops int
 	// LogicalHops counts overlay-level forwards (HVDB's CH-to-CH hops);
 	// the network never touches it. Carrying it per copy lets a
 	// protocol share one immutable routing header across a fan-out.
-	LogicalHops int
+	// (An int32 beside Control fills padding: Packet stays 112 bytes.)
+	LogicalHops int32
+	// Hops counts physical transmissions so far; the network increments
+	// it on every delivery.
+	Hops int
 	// Born is the simulated time the packet's application payload was
 	// created, for end-to-end delay measurement across re-encapsulation.
 	Born des.Time
