@@ -335,6 +335,53 @@ func BenchmarkEndToEndMulticast(b *testing.B) {
 	}
 }
 
+// BenchmarkLocalReception measures the multicast reception path: one
+// packet per op to a 30-member group of a static 400-node world on the
+// paper's 2 km arena, with the control plane stopped after warm-up, so
+// an op is the packet's tree forwarding plus its CHs' cluster-local
+// broadcasts and every reception of them, almost all at non-members.
+// Reports never expire (LocalTTL 0), so every op sees the same
+// membership. Broadcast-reception handlers must not allocate: allocs/op
+// stays a small constant per packet however many nodes hear it.
+func BenchmarkLocalReception(b *testing.B) {
+	spec := scenario.DefaultSpec()
+	spec.Nodes = 400
+	spec.Groups = 4
+	spec.MembersPerGroup = 30
+	spec.Mobility = scenario.Static
+	w, err := scenario.Build(spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	mcfg := membership.DefaultConfig()
+	mcfg.LocalTTL = 0
+	w.MS = membership.New(w.BB, mcfg)
+	for g, members := range w.Members {
+		for _, id := range members {
+			w.MS.Join(id, g)
+		}
+	}
+	w.MC = multicast.New(w.BB, w.MS, w.Mux, multicast.DefaultConfig())
+	w.Start()
+	w.WarmUp(15)
+	w.Stop()
+	w.Sim.Run()
+	src := w.RandomSource()
+	before := w.MC.Delivered
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		uid := w.MC.Send(src, membership.Group(i%spec.Groups), 512)
+		w.Sim.Run()
+		w.MC.ForgetPacket(uid)
+	}
+	b.StopTimer()
+	if w.MC.Delivered == before {
+		b.Fatal("no deliveries: the world did not converge")
+	}
+	b.ReportMetric(float64(w.MC.Delivered-before)/float64(b.N), "deliveries/op")
+}
+
 // Ablation: GPS positioning error — the model assumes GPS; this sweeps
 // how much per-axis Gaussian error the logical-location machinery
 // tolerates before clustering destabilizes and delivery suffers.

@@ -279,9 +279,9 @@ type Service struct {
 	reported nodeSet          // sent a non-empty report last round
 	active   []network.NodeID // sorted tracked IDs
 	slots    []*slotState     // by CH slot index (grid.Count() lanes)
-	labels  int              // 2^dim, the in-cube label space
-	numHID  int              // hypercube count of the mesh tier
-	seq     uint64
+	labels   int              // 2^dim, the in-cube label space
+	numHID   int              // hypercube count of the mesh tier
+	seq      uint64
 
 	// version counts mutations of the summary views trees are computed
 	// from (the MNT and MT views); see SummaryVersion.
@@ -305,8 +305,8 @@ func New(bb *core.Backbone, cfg Config) *Service {
 		cfg = DefaultConfig()
 	}
 	s := &Service{
-		bb:      bb,
-		cfg:     cfg,
+		bb:     bb,
+		cfg:    cfg,
 		tr:     trace.Nop,
 		slots:  make([]*slotState, bb.Scheme().Grid().Count()),
 		labels: 1 << uint(bb.Scheme().Dim()),
@@ -364,8 +364,9 @@ func (s *Service) track(id network.NodeID) {
 
 // Join records that the node joined the group (Figure 5 step 1); the
 // change propagates on the next Local-Membership round. Groups are
-// small non-negative integers: each one in use costs a bitset over the
-// node IDs that joined it.
+// small non-negative integers (each one in use costs a bitset over the
+// node IDs that joined it); a negative group is a caller bug and
+// panics.
 func (s *Service) Join(id network.NodeID, g Group) {
 	if g < 0 {
 		panic("membership: negative group")
