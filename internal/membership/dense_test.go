@@ -149,7 +149,7 @@ func checkReports(t *testing.T, step int, tb *testbed, model *memberModel) {
 	for i := 0; i < tb.net.Len(); i++ {
 		id := network.NodeID(i)
 		for g := Group(0); g < modelGroups; g++ {
-			got := tb.ms.LocalMembers(logicalid.CHID(i), g)
+			got := tb.ms.LocalMembers(nil, logicalid.CHID(i), g)
 			want := []network.NodeID{}
 			if slices.Contains(model.report[id], g) {
 				want = append(want, id)

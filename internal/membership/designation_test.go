@@ -121,8 +121,8 @@ func TestMultiHomeOverlapReliability(t *testing.T) {
 	tb.ms.LocalRound()
 	tb.drain()
 	// Both covering CH slots must list the member.
-	left := tb.ms.LocalMembers(0, 5)  // slot (0,0)
-	right := tb.ms.LocalMembers(1, 5) // slot (1,0)
+	left := tb.ms.LocalMembers(nil, 0, 5)  // slot (0,0)
+	right := tb.ms.LocalMembers(nil, 1, 5) // slot (1,0)
 	if len(left) != 1 || len(right) != 1 {
 		t.Fatalf("multi-home member known to %d/%d covering clusters want both", len(left), len(right))
 	}
@@ -139,10 +139,10 @@ func TestSingleHomeReportsOnce(t *testing.T) {
 	tb.ms.LocalRound()
 	tb.drain()
 	known := 0
-	if len(tb.ms.LocalMembers(0, 5)) == 1 {
+	if len(tb.ms.LocalMembers(nil, 0, 5)) == 1 {
 		known++
 	}
-	if len(tb.ms.LocalMembers(1, 5)) == 1 {
+	if len(tb.ms.LocalMembers(nil, 1, 5)) == 1 {
 		known++
 	}
 	if known != 1 {

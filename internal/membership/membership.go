@@ -630,15 +630,11 @@ func (s *Service) MNTSummary(slot logicalid.CHID) map[Group]int {
 	return out
 }
 
-// LocalMembers returns the nodes of the slot's cluster known to have
-// joined the group — the delivery set of Figure 6 step 6.
-func (s *Service) LocalMembers(slot logicalid.CHID, g Group) []network.NodeID {
-	return s.AppendLocalMembers(make([]network.NodeID, 0, len(s.slot(slot).localView[g])), slot, g)
-}
-
-// AppendLocalMembers appends LocalMembers(slot, g) to out and returns
-// the extended slice, for callers that reuse a scratch buffer.
-func (s *Service) AppendLocalMembers(out []network.NodeID, slot logicalid.CHID, g Group) []network.NodeID {
+// LocalMembers appends to out the nodes of the slot's cluster known to
+// have joined the group — the delivery set of Figure 6 step 6 — in
+// ascending ID order, and returns the extended slice (pass nil, or a
+// reused scratch truncated to length 0).
+func (s *Service) LocalMembers(out []network.NodeID, slot logicalid.CHID, g Group) []network.NodeID {
 	mark := len(out)
 	for id, seen := range s.slot(slot).localView[g] {
 		if s.fresh(seen) {

@@ -111,7 +111,7 @@ func TestLocalRoundBuildsMNTSummary(t *testing.T) {
 	if sum[5] != 2 || sum[6] != 1 {
 		t.Fatalf("MNT summary %v want {5:2, 6:1}", sum)
 	}
-	members := tb.ms.LocalMembers(slotIdx(tb, 0, 0), 5)
+	members := tb.ms.LocalMembers(nil, slotIdx(tb, 0, 0), 5)
 	if len(members) != 2 {
 		t.Fatalf("local members %v", members)
 	}

@@ -476,7 +476,7 @@ func (s *Service) onData(n *network.Node, _ network.NodeID, pkt *network.Packet)
 // deliverLocal is Figure 6 step 6: when the MNT view shows local group
 // members, broadcast once into the cluster.
 func (s *Service) deliverLocal(slot logicalid.CHID, uid uint64, born des.Time, hops int, hdr *header) {
-	s.memberScratch = s.ms.AppendLocalMembers(s.memberScratch[:0], slot, hdr.Group)
+	s.memberScratch = s.ms.LocalMembers(s.memberScratch[:0], slot, hdr.Group)
 	ch := s.bb.CHNodeOf(slot)
 	if ch == network.NoNode {
 		return
