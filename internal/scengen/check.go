@@ -119,9 +119,8 @@ func (r *Report) String() string {
 // runOutcome is the observable result of one script run, reduced to
 // exactly what the invariants compare.
 type runOutcome struct {
-	// fp renders every measured field at %v (shortest round-trip)
-	// precision plus the executed-event count, so string equality is
-	// bit equality.
+	// fp is the run's scenario.Fingerprint: string equality is bit
+	// equality.
 	fp        string
 	inflight  int
 	statsErr  string
@@ -155,10 +154,7 @@ func runArm(spec scenario.Spec, arm string, sc *scenario.Script, warmup des.Dura
 	w.RunUntil(w.Sim.Now() + 5) // drain in-flight deliveries and stopped tickers
 	w.Sim.Run()                 // and any stragglers past the drain window
 	return runOutcome{
-		fp: fmt.Sprintf("sent=%d expected=%d delivered=%d stale=%d mean=%v p50=%v p95=%v ctrl=%v jain=%v elapsed=%v events=%d delaydg=%#x audpeak=%d",
-			res.Sent, res.Expected, res.Delivered, res.Stale,
-			res.MeanDelay, res.P50Delay, res.P95Delay, res.CtrlPerNodeS, res.Jain, res.Elapsed,
-			w.Sim.Executed(), res.DelayDigest, res.AudiencePeak),
+		fp:        scenario.Fingerprint(res, w.Sim.Executed()),
 		inflight:  w.Net.PooledInFlight(),
 		statsErr:  statsContract(res),
 		streamErr: streamContract(res),
