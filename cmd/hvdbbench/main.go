@@ -22,19 +22,13 @@
 // serially, measuring wall-clock and allocations per population, and
 // writes the machine-readable baseline to BENCH_scale.json — stamped
 // with the Go version and GOMAXPROCS it was measured under — so future
-// changes have a perf trajectory to compare against. Each population is
-// recorded twice, at -shards 1 (serial kernel) and -shards 4 (sharded
-// kernel); the event counts must agree exactly, so the baseline doubles
-// as a standing record of the shard-count-independence contract. An
-// explicit -shards k narrows the baseline to that single setting.
+// changes have a perf trajectory to compare against.
 //
-// -perfsmoke re-measures the N=1000 and N=5000 sweep points — every
-// committed shard-count variant of each — and compares them against the
-// committed BENCH_scale.json: a determinism drift (event count
-// mismatch, within a variant or across shard counts), an events/sec
-// regression beyond the tolerance, or an allocs/event or peak
-// bytes/node figure above its ceiling fails the process, which is what
-// the CI perf-smoke job runs.
+// -perfsmoke re-measures the N=1000 and N=5000 sweep points and compares
+// them against the committed BENCH_scale.json: a determinism drift
+// (event count mismatch), an events/sec regression beyond the
+// tolerance, or an allocs/event or peak bytes/node figure above its
+// ceiling fails the process, which is what the CI perf-smoke job runs.
 //
 // -scalemem runs the N=50000 mega-world once and enforces absolute
 // wall-clock and peak-heap-per-node budgets (the CI scale-mem job).
@@ -115,7 +109,6 @@ func main() {
 		jsonOut    = flag.Bool("json", false, "run the scale benchmark and write "+benchFile)
 		perfSmoke  = flag.Bool("perfsmoke", false, "re-measure the N=1000 and N=5000 scale points and fail on events/s, allocs/event, or bytes/node regression against "+benchFile)
 		scaleMem   = flag.Bool("scalemem", false, "run the N=50000 memory-scaling gate: wall-clock and peak-heap-per-node budgets (CI scale-mem job)")
-		shards     = flag.Int("shards", 1, "shard count for the scale-family worlds (1 = serial kernel); tables and event counts are identical at every setting")
 		maxNodes   = flag.Int("maxnodes", 0, "cap the scale sweep's population (0 = the 100k default); the nightly job raises it to 1000000 for the 1M point")
 		cpuProfile = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to `file`")
 		memProfile = flag.String("memprofile", "", "write a pprof heap profile at exit to `file`")
@@ -135,20 +128,10 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if *shards < 1 {
-		fmt.Fprintf(os.Stderr, "hvdbbench: -shards must be at least 1 (got %d)\n", *shards)
-		flag.Usage()
-		os.Exit(2)
-	}
 	if *maxNodes < 0 {
 		fmt.Fprintf(os.Stderr, "hvdbbench: -maxnodes must be non-negative (got %d)\n", *maxNodes)
 		flag.Usage()
 		os.Exit(2)
-	}
-	if *shards > runtime.NumCPU() {
-		// More shards than cores still runs correctly (results are
-		// shard-count independent); it just cannot speed anything up.
-		log.Printf("warning: -shards %d exceeds the %d available CPUs; extra shards add sync overhead without parallelism", *shards, runtime.NumCPU())
 	}
 
 	if *list {
@@ -189,7 +172,6 @@ func main() {
 	}
 	opts.Seed = *seed
 	opts.Workers = *parallel
-	opts.Shards = *shards
 	opts.MaxNodes = *maxNodes
 
 	if *scaleMem {
@@ -218,18 +200,6 @@ func main() {
 		}
 		if *quick {
 			log.Printf("warning: -quick -json benchmarks the miniature worlds; do not commit the result as the full-size %s baseline", benchFile)
-		}
-		shardsSet := false
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "shards" {
-				shardsSet = true
-			}
-		})
-		if !shardsSet {
-			// The baseline contract: a serial and a shards=4 point per
-			// population. An explicit -shards narrows the run to one
-			// configuration (e.g. for ad-hoc measurement).
-			opts.Shards = 0
 		}
 		writeScaleBench(opts)
 		return
@@ -283,8 +253,8 @@ func writeScaleBench(opts experiment.Options) {
 		log.Fatal(err)
 	}
 	for _, p := range points {
-		fmt.Printf("N=%-6d shards=%d total=%-6d events=%-10d %8.0f events/s  %5.2f allocs/event  pdr %.1f%%\n",
-			p.Nodes, p.Shards, p.TotalNodes, p.Events, p.EventsPerSec, p.AllocsPerEvent, 100*p.DeliveryRatio)
+		fmt.Printf("N=%-6d total=%-6d events=%-10d %8.0f events/s  %5.2f allocs/event  pdr %.1f%%\n",
+			p.Nodes, p.TotalNodes, p.Events, p.EventsPerSec, p.AllocsPerEvent, 100*p.DeliveryRatio)
 	}
 	fmt.Printf("wrote %s\n", benchFile)
 }
@@ -301,8 +271,8 @@ func runScaleMem(opts experiment.Options) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("N=%d shards=%d total=%d events=%d wall=%.1fs (budget %.0fs) peak_heap=%.1f MB bytes/node=%.0f (budget %.0f) pdr %.1f%%\n",
-		p.Nodes, p.Shards, p.TotalNodes, p.Events, p.WallSeconds, scaleMemWallBudget,
+	fmt.Printf("N=%d total=%d events=%d wall=%.1fs (budget %.0fs) peak_heap=%.1f MB bytes/node=%.0f (budget %.0f) pdr %.1f%%\n",
+		p.Nodes, p.TotalNodes, p.Events, p.WallSeconds, scaleMemWallBudget,
 		float64(p.PeakHeapBytes)/(1<<20), p.BytesPerNode, scaleMemByteBudget, 100*p.DeliveryRatio)
 	if p.WallSeconds > scaleMemWallBudget {
 		return fmt.Errorf("wall-clock budget breached: %.1fs > %.0fs for the N=%d world", p.WallSeconds, scaleMemWallBudget, scaleMemNodes)
@@ -345,61 +315,45 @@ func runPerfSmoke(opts experiment.Options) error {
 	return nil
 }
 
-// smokeOnePoint gates one population: every committed shard variant of
-// the point is re-measured at its own shard count, compared against its
-// committed figures, and all variants — committed and measured — must
-// agree on the exact event count (the shard-count-independence
-// contract; a drift here means the sharded kernel changed behavior, not
-// just speed). Old single-variant baselines (no shards field) degrade
-// to the serial-only gate.
+// smokeOnePoint gates one population: the point is re-measured and
+// compared against its committed figures. The event count must match
+// exactly (a drift means the simulation changed behavior, not just
+// speed).
 func smokeOnePoint(opts experiment.Options, doc *scaleBenchDoc, nodes int) error {
-	var variants []*experiment.ScalePoint
+	var committed *experiment.ScalePoint
 	for i := range doc.Points {
 		if doc.Points[i].Nodes == nodes {
-			variants = append(variants, &doc.Points[i])
+			committed = &doc.Points[i]
+			break
 		}
 	}
-	if len(variants) == 0 {
+	if committed == nil {
 		return fmt.Errorf("%s has no N=%d point", benchFile, nodes)
 	}
-	var events []uint64
-	for _, committed := range variants {
-		shards := committed.Shards
-		if shards < 1 {
-			shards = 1 // pre-shards baseline entry
-		}
-		opts.Shards = shards
-		measured, err := experiment.ScaleBenchN(opts, nodes)
-		if err != nil {
-			return err
-		}
-		allocCeiling := committed.AllocsPerEvent*perfSmokeAllocsSlack + perfSmokeAllocsEps
-		fmt.Printf("N=%d shards=%d: measured %8.0f events/s (%d events, %.3f allocs/event), committed %8.0f events/s (%d events, %.3f allocs/event), tolerance %.0f%%, alloc ceiling %.3f\n",
-			nodes, shards, measured.EventsPerSec, measured.Events, measured.AllocsPerEvent,
-			committed.EventsPerSec, committed.Events, committed.AllocsPerEvent,
-			100*perfSmokeTolerance, allocCeiling)
-		if measured.Events != committed.Events {
-			return fmt.Errorf("determinism drift at shards=%d: measured %d events, committed %d — regenerate %s and re-record the experiment tables",
-				shards, measured.Events, committed.Events, benchFile)
-		}
-		if floor := committed.EventsPerSec * (1 - perfSmokeTolerance); measured.EventsPerSec < floor {
-			return fmt.Errorf("perf regression at shards=%d: %0.f events/s is below the %.0f floor (committed %.0f - %.0f%%)",
-				shards, measured.EventsPerSec, floor, committed.EventsPerSec, 100*perfSmokeTolerance)
-		}
-		if measured.AllocsPerEvent > allocCeiling {
-			return fmt.Errorf("allocation regression at shards=%d: %.3f allocs/event exceeds the %.3f ceiling (committed %.3f x%.1f + %.2f)",
-				shards, measured.AllocsPerEvent, allocCeiling, committed.AllocsPerEvent, perfSmokeAllocsSlack, perfSmokeAllocsEps)
-		}
-		if ceiling := committed.BytesPerNode * perfSmokeBytesSlack; committed.BytesPerNode > 0 && measured.BytesPerNode > ceiling {
-			return fmt.Errorf("memory regression at shards=%d: %.0f peak heap bytes/node exceeds the %.0f ceiling (committed %.0f x%.1f)",
-				shards, measured.BytesPerNode, ceiling, committed.BytesPerNode, perfSmokeBytesSlack)
-		}
-		events = append(events, measured.Events)
+	measured, err := experiment.ScaleBenchN(opts, nodes)
+	if err != nil {
+		return err
 	}
-	for _, e := range events[1:] {
-		if e != events[0] {
-			return fmt.Errorf("shard-count dependence at N=%d: event counts %v differ across the baseline shard variants", nodes, events)
-		}
+	allocCeiling := committed.AllocsPerEvent*perfSmokeAllocsSlack + perfSmokeAllocsEps
+	fmt.Printf("N=%d: measured %8.0f events/s (%d events, %.3f allocs/event), committed %8.0f events/s (%d events, %.3f allocs/event), tolerance %.0f%%, alloc ceiling %.3f\n",
+		nodes, measured.EventsPerSec, measured.Events, measured.AllocsPerEvent,
+		committed.EventsPerSec, committed.Events, committed.AllocsPerEvent,
+		100*perfSmokeTolerance, allocCeiling)
+	if measured.Events != committed.Events {
+		return fmt.Errorf("determinism drift at N=%d: measured %d events, committed %d — regenerate %s and re-record the experiment tables",
+			nodes, measured.Events, committed.Events, benchFile)
+	}
+	if floor := committed.EventsPerSec * (1 - perfSmokeTolerance); measured.EventsPerSec < floor {
+		return fmt.Errorf("perf regression at N=%d: %0.f events/s is below the %.0f floor (committed %.0f - %.0f%%)",
+			nodes, measured.EventsPerSec, floor, committed.EventsPerSec, 100*perfSmokeTolerance)
+	}
+	if measured.AllocsPerEvent > allocCeiling {
+		return fmt.Errorf("allocation regression at N=%d: %.3f allocs/event exceeds the %.3f ceiling (committed %.3f x%.1f + %.2f)",
+			nodes, measured.AllocsPerEvent, allocCeiling, committed.AllocsPerEvent, perfSmokeAllocsSlack, perfSmokeAllocsEps)
+	}
+	if ceiling := committed.BytesPerNode * perfSmokeBytesSlack; committed.BytesPerNode > 0 && measured.BytesPerNode > ceiling {
+		return fmt.Errorf("memory regression at N=%d: %.0f peak heap bytes/node exceeds the %.0f ceiling (committed %.0f x%.1f)",
+			nodes, measured.BytesPerNode, ceiling, committed.BytesPerNode, perfSmokeBytesSlack)
 	}
 	return nil
 }

@@ -13,7 +13,7 @@
 //	hvdblint ./...
 //	hvdblint -suppressed ./internal/qos
 //	hvdblint -json ./... | jq '.[].file'
-//	hvdblint -analyzers shardsafe,poolpair -timing ./...
+//	hvdblint -analyzers maporder,poolpair -timing ./...
 package main
 
 import (
@@ -35,7 +35,6 @@ func main() {
 		analyzers  = flag.String("analyzers", "", "comma-separated subset of analyzers to run (default: all)")
 		timing     = flag.Bool("timing", false, "print per-analyzer, load, and summary wall time to stderr")
 		budget     = flag.Duration("budget", 0, "fail (exit 1) if whole-run wall time — load + summaries + analyzers — exceeds this duration (0 disables)")
-		shards     = flag.Int("shards", 1, "accepted for flag parity with the simulation tools (CI drives all four CLIs with a shared flag set); static analysis is shard-count independent")
 	)
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: hvdblint [flags] [packages]\n\nAnalyzers:\n")
@@ -46,11 +45,6 @@ func main() {
 		flag.PrintDefaults()
 	}
 	flag.Parse()
-	if *shards < 1 {
-		fmt.Fprintf(os.Stderr, "hvdblint: -shards must be >= 1 (got %d)\n", *shards)
-		flag.Usage()
-		os.Exit(2)
-	}
 	selected, err := selectAnalyzers(*analyzers)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "hvdblint: %v\n", err)

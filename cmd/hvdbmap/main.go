@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"runtime"
 
 	"repro/internal/des"
 	"repro/internal/logicalid"
@@ -47,7 +46,6 @@ func main() {
 		cube     = flag.Int("cube", 0, "hypercube to render in detail")
 		trials   = flag.Int("trials", 1, "independent trials (seeds derived per trial)")
 		parallel = flag.Int("parallel", 0, "max concurrent trials (0 = GOMAXPROCS)")
-		shards   = flag.Int("shards", 1, "shard count for the sharded event kernel (1 = serial); the rendered backbone is identical at every setting")
 	)
 	flag.Parse()
 
@@ -71,18 +69,12 @@ func main() {
 		badFlag("-warmup must be non-negative (got %g)", *warm)
 	case *parallel < 0:
 		badFlag("-parallel must be non-negative (got %d)", *parallel)
-	case *shards < 1:
-		badFlag("-shards must be >= 1 (got %d)", *shards)
-	}
-	if *shards > runtime.NumCPU() {
-		log.Printf("warning: -shards %d exceeds the %d available CPUs", *shards, runtime.NumCPU())
 	}
 	spec := scenario.DefaultSpec()
 	spec.Seed = *seed
 	spec.ArenaSize = *arena
 	spec.Dim = *dim
 	spec.Nodes = *nodes
-	spec.Shards = *shards
 	if *speed <= 0 {
 		spec.Mobility = scenario.Static
 	} else {

@@ -35,7 +35,6 @@ import (
 	"log"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 
 	"repro/internal/des"
@@ -75,7 +74,6 @@ func main() {
 		fuzzSeed = flag.Uint64("fuzzseed", 1, "campaign base seed for -fuzz (same seed: same scripts, same verdicts)")
 		fuzzOut  = flag.String("fuzzout", ".", "directory for minimized failing scripts written by -fuzz")
 		traceCat = flag.String("trace", "", "comma-separated trace categories (sim,mobility,radio,cluster,routes,membership,multicast)")
-		shards   = flag.Int("shards", 1, "shard count for the sharded event kernel (1 = serial); results are identical at every setting")
 	)
 	flag.Parse()
 
@@ -112,21 +110,6 @@ func main() {
 		fail("-parallel must be non-negative (got %d)", *parallel)
 	case *fuzzN < 0:
 		fail("-fuzz must be non-negative (got %d)", *fuzzN)
-	case *shards < 1:
-		fail("-shards must be >= 1 (got %d)", *shards)
-	}
-	if *shards > runtime.NumCPU() {
-		// Still correct (results are shard-count independent), just
-		// pointless: extra shards add barrier overhead with no cores to
-		// run them on.
-		log.Printf("warning: -shards %d exceeds the %d available CPUs", *shards, runtime.NumCPU())
-	}
-	if *shards > 1 && *traceCat != "" {
-		// The network refuses to shard with a tracer bound (lane-local
-		// emission would interleave nondeterministically); run serial
-		// rather than silently dropping either flag.
-		log.Printf("warning: -trace forces the serial kernel; ignoring -shards %d", *shards)
-		*shards = 1
 	}
 	if *fuzzN > 0 {
 		if *script != "" {
@@ -170,7 +153,6 @@ func main() {
 	baseSpec.Groups = *groups
 	baseSpec.MembersPerGroup = *members
 	baseSpec.LossProb = *loss
-	baseSpec.Shards = *shards
 	if *speed <= 0 {
 		baseSpec.Mobility = scenario.Static
 	} else {
@@ -304,9 +286,6 @@ func runTrial(spec scenario.Spec, cfg trialConfig, traceCat string, verbose bool
 	w, err := scenario.Build(spec)
 	if err != nil {
 		return trialResult{}, err
-	}
-	if spec.Shards > 1 && w.Eng == nil {
-		log.Printf("warning: sharding declined, running serial: %s", w.ShardNote)
 	}
 	stk, err := w.Protocol(cfg.proto)
 	if err != nil {

@@ -248,8 +248,6 @@ type linear struct {
 
 func newLinear(p geom.Point, v geom.Vector) *linear { return &linear{p, v} }
 
-func (l *linear) Advance(float64)   {}
-func (l *linear) PieceEnd() float64 { return math.Inf(1) }
 func (l *linear) TrueFix(now float64) gps.Fix {
 	return gps.Fix{Pos: l.p0.Add(l.v.Scale(now)), Vel: l.v}
 }

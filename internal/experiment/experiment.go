@@ -22,12 +22,6 @@ type Options struct {
 	// run derives its PRNG stream positionally from the seed (see
 	// runner.DeriveSeed) and results are collected in run order.
 	Workers int
-	// Shards > 1 runs the scale-family worlds on the sharded event
-	// kernel (scenario.Spec.Shards). Tables and event counts are
-	// byte-identical at every setting — sharding only changes wall
-	// clock — and a world that declines sharding is a hard error here,
-	// so a benchmark can never silently measure the serial path.
-	Shards int
 	// MaxNodes caps the population of the scale sweep; 0 means
 	// DefaultMaxNodes (100k). The sweep's node counts ascend, so the cap
 	// drops a suffix of points and never disturbs the positional seeds

@@ -74,7 +74,7 @@ func scaleConfigs(o Options) []scaleConfig {
 // scaleSpec builds the scenario of one sweep point: anchored CHs,
 // default waypoint mobility, one group of 20 members (10 in the
 // miniature worlds) drawn from the mobile population.
-func scaleSpec(seed uint64, c scaleConfig, shards int) scenario.Spec {
+func scaleSpec(seed uint64, c scaleConfig) scenario.Spec {
 	spec := scenario.DefaultSpec()
 	spec.Seed = seed
 	spec.Nodes = c.nodes
@@ -84,7 +84,6 @@ func scaleSpec(seed uint64, c scaleConfig, shards int) scenario.Spec {
 	if c.nodes < 200 {
 		spec.MembersPerGroup = 10
 	}
-	spec.Shards = shards
 	if c.cell > 0 {
 		spec.CellSize = c.cell
 	}
@@ -136,20 +135,16 @@ type scaleResult struct {
 }
 
 // runScaleWorld drives one population end to end. Everything it returns
-// is a pure function of (seed, config) — independent of shards, which
-// only changes how the same event sequence is scheduled onto cores, and
-// of sample, which only changes how often the host observes the run —
-// so the sweep parallelizes with byte-identical tables at any worker or
-// shard count, sampled or not.
+// is a pure function of (seed, config) — independent of sample, which
+// only changes how often the host observes the run — so the sweep
+// parallelizes with byte-identical tables at any worker count, sampled
+// or not.
 //
 // A non-nil sample is invoked at ~1-simulated-second barriers (the
 // kernel contract makes chunked RunUntil event-identical to a single
 // call); benchScalePoint uses it to track peak heap.
-func runScaleWorld(seed uint64, c scaleConfig, shards int, sample func()) scaleResult {
-	w := must(scenario.Build(scaleSpec(seed, c, shards)))
-	if shards > 1 && w.Eng == nil {
-		panic(fmt.Sprintf("experiment: scale world declined shards=%d: %s", shards, w.ShardNote))
-	}
+func runScaleWorld(seed uint64, c scaleConfig, sample func()) scaleResult {
+	w := must(scenario.Build(scaleSpec(seed, c)))
 	stk := must(w.Protocol("hvdb"))
 	stk.Start()
 	warm, drain := scaleTiming(c)
@@ -199,7 +194,7 @@ func runSampled(w *scenario.World, deadline des.Time, sample func()) {
 func Scale(o Options) []*Table {
 	configs := scaleConfigs(o)
 	rows := parSweep(o, configs, func(r runner.Run, c scaleConfig) []string {
-		res := runScaleWorld(r.Seed, c, o.Shards, nil)
+		res := runScaleWorld(r.Seed, c, nil)
 		return []string{
 			I(c.nodes), I(res.total), I(int(c.arena)), I(res.clusters),
 			U(res.events), Pct(res.m.pdr()),
@@ -223,15 +218,13 @@ func Scale(o Options) []*Table {
 // ScalePoint is one measured entry of the scale benchmark: the
 // deterministic world outcomes plus the host-side performance of
 // simulating it (these vary by machine and are therefore not part of
-// the experiment's table contract). Shards and GoMaxProcs record the
-// kernel configuration the point was measured under; Events must be
-// identical across points that differ only in those two fields — the
-// perf-smoke gate enforces exactly that.
+// the experiment's table contract). GoMaxProcs records the host
+// configuration the point was measured under; Events is a pure function
+// of the world, and the perf-smoke gate checks it exactly.
 type ScalePoint struct {
 	Nodes          int     `json:"nodes"`
 	TotalNodes     int     `json:"total_nodes"`
 	ArenaM         float64 `json:"arena_m"`
-	Shards         int     `json:"shards"`
 	GoMaxProcs     int     `json:"go_max_procs"`
 	SimSeconds     float64 `json:"sim_seconds"`
 	Events         uint64  `json:"events"`
@@ -248,35 +241,20 @@ type ScalePoint struct {
 	BytesPerNode  float64 `json:"bytes_per_node"`
 }
 
-// benchShardCounts is the shard axis of the BENCH_scale.json baseline:
-// the serial kernel and the default sharded configuration.
-var benchShardCounts = []int{1, 4}
-
 // ScaleBench runs the scale sweep serially (one world at a time, so
 // wall-clock and allocation deltas are attributable) and returns the
-// per-population performance baseline. With o.Shards zero every
-// population is measured at each benchShardCounts setting (the baseline
-// contract: a serial and a shards=4 point per N); a positive o.Shards
-// measures only that configuration.
+// per-population performance baseline, one point per population.
 func ScaleBench(o Options) []ScalePoint {
-	counts := benchShardCounts
-	if o.Shards > 0 {
-		counts = []int{o.Shards}
-	}
 	var out []ScalePoint
 	for i, c := range scaleConfigs(normalizeScaleOpts(o)) {
-		for _, k := range counts {
-			o.Shards = k
-			out = append(out, benchScalePoint(o, i, c))
-		}
+		out = append(out, benchScalePoint(o, i, c))
 	}
 	return out
 }
 
 // ScaleBenchN runs the single sweep point with the given mobile-node
-// population at o.Shards (0 or 1 = serial) — the CI perf-smoke gate
-// measures the N=1000 and N=5000 worlds at both baseline shard counts.
-// The point's seed is derived from its position in the full sweep, so
+// population — the CI perf-smoke gate measures the N=1000 and N=5000
+// worlds. The point's seed is derived from its position in the full sweep, so
 // the measured world is identical to that row of ScaleBench (and to the
 // committed BENCH_scale.json entry).
 func ScaleBenchN(o Options, nodes int) (ScalePoint, error) {
@@ -302,10 +280,6 @@ func normalizeScaleOpts(o Options) Options {
 // outcomes plus wall-clock and allocation deltas around the run.
 func benchScalePoint(o Options, i int, c scaleConfig) ScalePoint {
 	o = normalizeScaleOpts(o)
-	shards := o.Shards
-	if shards < 1 {
-		shards = 1
-	}
 	seed := runner.DeriveSeed(o.Seed, i)
 	runtime.GC()
 	var m0, m1 runtime.MemStats
@@ -319,14 +293,13 @@ func benchScalePoint(o Options, i int, c scaleConfig) ScalePoint {
 		}
 	}
 	start := time.Now() //hvdb:wallclock benchmark timing around a finished run; wall/events-per-second never feeds simulation state or the deterministic table columns
-	res := runScaleWorld(seed, c, shards, sample)
+	res := runScaleWorld(seed, c, sample)
 	wall := time.Since(start).Seconds() //hvdb:wallclock benchmark timing, pairs with the start stamp above
 	runtime.ReadMemStats(&m1)
 	p := ScalePoint{
 		Nodes:         c.nodes,
 		TotalNodes:    res.total,
 		ArenaM:        c.arena,
-		Shards:        shards,
 		GoMaxProcs:    runtime.GOMAXPROCS(0),
 		SimSeconds:    float64(res.simEnd),
 		Events:        res.events,

@@ -18,7 +18,7 @@ func TestScaleSmoke(t *testing.T) {
 		t.Skip("10,000-node world skipped with -short")
 	}
 	cfg := scaleConfig{nodes: 10000, arena: 14000}
-	w, err := scenario.Build(scaleSpec(1, cfg, 1))
+	w, err := scenario.Build(scaleSpec(1, cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,14 +92,12 @@ func TestScaleConfigsMaxNodesSuffix(t *testing.T) {
 }
 
 // TestScaleBenchShape checks ScaleBench fills the performance fields
-// the BENCH_scale.json baseline publishes: one serial and one shards=4
-// point per population, with identical event counts inside each pair.
+// the BENCH_scale.json baseline publishes, one point per population.
 func TestScaleBenchShape(t *testing.T) {
 	pts := ScaleBench(QuickOptions())
-	if want := len(scaleConfigs(QuickOptions())) * len(benchShardCounts); len(pts) != want {
-		t.Fatalf("%d bench points, want %d (one per population per shard count)", len(pts), want)
+	if want := len(scaleConfigs(QuickOptions())); len(pts) != want {
+		t.Fatalf("%d bench points, want %d (one per population)", len(pts), want)
 	}
-	events := map[int]uint64{}
 	for _, p := range pts {
 		if p.Events == 0 || p.WallSeconds <= 0 || p.EventsPerSec <= 0 {
 			t.Fatalf("bench point %+v missing performance measurements", p)
@@ -107,43 +105,26 @@ func TestScaleBenchShape(t *testing.T) {
 		if p.TotalNodes < p.Nodes {
 			t.Fatalf("bench point %+v: total below mobile population", p)
 		}
-		if p.Shards < 1 || p.GoMaxProcs < 1 {
-			t.Fatalf("bench point %+v missing kernel configuration", p)
+		if p.GoMaxProcs < 1 {
+			t.Fatalf("bench point %+v missing host configuration", p)
 		}
-		if prev, ok := events[p.Nodes]; ok && prev != p.Events {
-			t.Fatalf("N=%d events differ across shard counts: %d vs %d", p.Nodes, prev, p.Events)
-		}
-		events[p.Nodes] = p.Events
 	}
 }
 
-// TestScaleShardEventEquality is the experiment-layer shard gate: the
-// same scale world executes exactly the same event sequence at shard
-// counts 1, 2, and 4 — not just the same count, the same measured
-// metrics to the last bit.
-func TestScaleShardEventEquality(t *testing.T) {
+// TestScaleSamplerInvisible: the memory sampler chunks RunUntil at
+// ~1 s barriers, and the chunking must be invisible to the simulation —
+// the same event count and measured metrics to the last bit.
+func TestScaleSamplerInvisible(t *testing.T) {
 	cfg := scaleConfigs(QuickOptions())[1] // 250 nodes: big enough for real traffic
 	type fp struct {
 		events uint64
 		pdr    float64
 		ctrl   float64
 	}
-	var base fp
-	for i, k := range []int{1, 2, 4} {
-		res := runScaleWorld(1, cfg, k, nil)
-		got := fp{events: res.events, pdr: res.m.pdr(), ctrl: res.ctrlPNS}
-		if i == 0 {
-			base = got
-			continue
-		}
-		if got != base {
-			t.Fatalf("shards=%d diverged: %+v vs serial %+v", k, got, base)
-		}
-	}
-	// The memory sampler chunks RunUntil at ~1 s barriers; the chunking
-	// must be invisible to the simulation.
+	res := runScaleWorld(1, cfg, nil)
+	base := fp{events: res.events, pdr: res.m.pdr(), ctrl: res.ctrlPNS}
 	calls := 0
-	res := runScaleWorld(1, cfg, 1, func() { calls++ })
+	res = runScaleWorld(1, cfg, func() { calls++ })
 	got := fp{events: res.events, pdr: res.m.pdr(), ctrl: res.ctrlPNS}
 	if got != base {
 		t.Fatalf("sampled run diverged: %+v vs unsampled %+v", got, base)

@@ -9,15 +9,6 @@
 // The router is hop-by-hop: each forwarding decision uses only the
 // current node's neighbor positions and the packet's target coordinates,
 // exactly the locality property that makes location-based routing scale.
-// That locality is also what lets relay hops execute on the sharded
-// kernel's parallel lanes: a forwarding decision reads positions and
-// transmits through one network.Lane, and all its scratch state —
-// neighbor buffers, header and envelope pools, the kind-interning
-// caches, the drop counter — lives in a per-lane rlane, so concurrent
-// lanes never share a mutable word. Consumption (Delivered, consumer
-// dispatch) only ever runs in serial context: a delivery at the final
-// destination is never shard-confined, so the network executes it on
-// the global lane.
 package georoute
 
 import (
@@ -31,9 +22,7 @@ import (
 
 // KindPrefix prefixes the packet kind of geo-routed envelopes; the full
 // kind is KindPrefix + inner.Kind, so traffic accounting attributes the
-// envelope to the protocol plane it carries. It is also the confined
-// namespace the network's sharding is told about: relay deliveries of
-// these kinds may run on shard lanes.
+// envelope to the protocol plane it carries.
 const KindPrefix = "geo:"
 
 // Kind is the bare envelope kind used when the inner kind is empty.
@@ -84,39 +73,6 @@ type Header struct {
 // DeliverFunc consumes an inner packet that reached its destination.
 type DeliverFunc func(n *network.Node, inner *network.Packet)
 
-// rlane is the router's per-lane state: everything a forwarding
-// decision mutates. One exists per shard lane (one total when the
-// network is unsharded); a decision executing on lane i touches only
-// rl[i] and lane-i network state.
-type rlane struct {
-	lane *network.Lane
-
-	// envKinds interns the "geo:"+inner.Kind envelope kinds so the
-	// per-hop envelope needs no string concatenation; the one-entry
-	// cache rides same-kind bursts.
-	envKinds   map[string]string
-	lastEnvIn  string
-	lastEnvOut string
-
-	// nbrBuf/nbrPos and gabBuf/gabPos are reused neighbor scratch
-	// buffers (IDs and parallel exact positions); forwarding decisions
-	// are not re-entrant within a lane, so one set suffices per lane.
-	nbrBuf []network.NodeID
-	nbrPos []geom.Point
-	gabBuf []network.NodeID
-	gabPos []geom.Point
-
-	// freeHdr pools Headers: one is live per geo-routed packet from
-	// Send to consume/drop, so steady-state forwarding allocates none.
-	// A header acquired on one lane may release on another; only the
-	// pooling is lane-local, never the lifetime.
-	freeHdr []*Header
-
-	// dropped counts inner packets abandoned on this lane; drops can
-	// happen mid-relay, hence per-lane. Read via Router.Dropped.
-	dropped uint64
-}
-
 // Router performs geographic unicast over one network. One router is
 // shared by all protocol planes of a mux (see Attach); each plane
 // registers consumers for its own inner packet kinds.
@@ -130,16 +86,32 @@ type Router struct {
 
 	consumers       map[string]DeliverFunc
 	fallbackDeliver DeliverFunc
-	// One-entry cache over consumer dispatch. Consumption is
-	// serial-only (see the package comment), so this state is safe on
-	// the Router itself.
+	// One-entry cache over consumer dispatch.
 	lastConsKind string
 	lastCons     DeliverFunc
-	// Delivered counts inner packets consumed, for experiments
-	// (serial-only, like all consumption).
+	// Delivered counts inner packets consumed, for experiments.
 	Delivered uint64
+	// dropped counts inner packets abandoned; read via Dropped.
+	dropped uint64
 
-	rl []rlane
+	// envKinds interns the "geo:"+inner.Kind envelope kinds so the
+	// per-hop envelope needs no string concatenation; the one-entry
+	// cache rides same-kind bursts.
+	envKinds   map[string]string
+	lastEnvIn  string
+	lastEnvOut string
+
+	// nbrBuf/nbrPos and gabBuf/gabPos are reused neighbor scratch
+	// buffers (IDs and parallel exact positions); forwarding decisions
+	// are not re-entrant, so one set suffices.
+	nbrBuf []network.NodeID
+	nbrPos []geom.Point
+	gabBuf []network.NodeID
+	gabPos []geom.Point
+
+	// freeHdr pools Headers: one is live per geo-routed packet from
+	// Send to consume/drop, so steady-state forwarding allocates none.
+	freeHdr []*Header
 }
 
 // auxKey identifies the shared router on a mux.
@@ -156,9 +128,10 @@ func Attach(net *network.Network, mux *network.Mux) *Router {
 		net:       net,
 		tr:        trace.Nop,
 		consumers: make(map[string]DeliverFunc),
+		envKinds:  make(map[string]string),
+		nbrPos:    make([]geom.Point, 0, 32),
+		gabPos:    make([]geom.Point, 0, 32),
 	}
-	r.growLanes(1)
-	net.OnShard(r.growLanes)
 	mux.SetAux(auxKey, r)
 	mux.Handle(Kind, r.onPacket)
 	mux.HandleFallback(func(n *network.Node, from network.NodeID, pkt *network.Packet) {
@@ -169,28 +142,9 @@ func Attach(net *network.Network, mux *network.Mux) *Router {
 	return r
 }
 
-// growLanes sizes the per-lane state to k lanes (registered with the
-// network's OnShard hook, and called once directly for the serial lane).
-func (r *Router) growLanes(k int) {
-	for len(r.rl) < k {
-		r.rl = append(r.rl, rlane{
-			lane:     r.net.LaneAt(len(r.rl)),
-			envKinds: make(map[string]string),
-			nbrPos:   make([]geom.Point, 0, 32),
-			gabPos:   make([]geom.Point, 0, 32),
-		})
-	}
-}
-
 // Dropped returns how many inner packets were abandoned (TTL expiry,
-// perimeter dead ends, failed transmissions), folded across lanes.
-func (r *Router) Dropped() uint64 {
-	var n uint64
-	for i := range r.rl {
-		n += r.rl[i].dropped
-	}
-	return n
-}
+// perimeter dead ends, failed transmissions).
+func (r *Router) Dropped() uint64 { return r.dropped }
 
 // Deliver registers the consumer for inner packets of the given kind,
 // replacing any previous registration.
@@ -215,9 +169,7 @@ func (r *Router) SetTracer(t trace.Tracer) {
 // Send geo-routes inner from the node `from` toward the target
 // position, to be consumed by final (or by the node nearest the target
 // if final is NoNode). It reports whether a first transmission was made
-// (or the packet was consumed locally). Send runs in serial context
-// (protocol timers and consumes are global events); the first hop
-// executes on lane 0.
+// (or the packet was consumed locally).
 //
 // A pooled inner packet is kept alive by the per-hop envelopes that
 // carry it (AdoptPacket): whichever way a hop ends — delivered,
@@ -228,20 +180,19 @@ func (r *Router) Send(from network.NodeID, target geom.Point, final network.Node
 	if n == nil || !n.Up() {
 		return false
 	}
-	rl := &r.rl[r.net.ExecLaneIdx(from)]
-	h := r.acquireHeader(rl)
+	h := r.acquireHeader()
 	h.Target, h.FinalDst = target, final
 	h.TTL = DefaultTTL
 	h.PrevHop = network.NoNode
 	h.Inner = inner
-	return r.forward(rl, n, h)
+	return r.forward(n, h)
 }
 
-// acquireHeader takes a zeroed Header from the lane's pool.
-func (r *Router) acquireHeader(rl *rlane) *Header {
-	if n := len(rl.freeHdr); n > 0 {
-		h := rl.freeHdr[n-1]
-		rl.freeHdr = rl.freeHdr[:n-1]
+// acquireHeader takes a zeroed Header from the pool.
+func (r *Router) acquireHeader() *Header {
+	if n := len(r.freeHdr); n > 0 {
+		h := r.freeHdr[n-1]
+		r.freeHdr = r.freeHdr[:n-1]
 		return h
 	}
 	return &Header{}
@@ -250,33 +201,33 @@ func (r *Router) acquireHeader(rl *rlane) *Header {
 // releaseHeader recycles a Header whose packet reached its end of life
 // (consumed or dropped); headers on envelopes lost in flight are simply
 // garbage collected.
-func (r *Router) releaseHeader(rl *rlane, h *Header) {
+func (r *Router) releaseHeader(h *Header) {
 	*h = Header{}
-	rl.freeHdr = append(rl.freeHdr, h)
+	r.freeHdr = append(r.freeHdr, h)
 }
 
 // envKind returns the interned envelope kind for an inner kind.
-func (r *Router) envKind(rl *rlane, inner string) string {
+func (r *Router) envKind(inner string) string {
 	if inner == "" {
 		return Kind
 	}
-	if inner == rl.lastEnvIn {
-		return rl.lastEnvOut
+	if inner == r.lastEnvIn {
+		return r.lastEnvOut
 	}
-	k, ok := rl.envKinds[inner]
+	k, ok := r.envKinds[inner]
 	if !ok {
 		k = KindPrefix + inner
-		rl.envKinds[inner] = k
+		r.envKinds[inner] = k
 	}
-	rl.lastEnvIn, rl.lastEnvOut = inner, k
+	r.lastEnvIn, r.lastEnvOut = inner, k
 	return k
 }
 
 // envelope wraps the header in a pooled per-hop packet; transmit
 // releases it once the network has taken its in-flight references.
-func (r *Router) envelope(rl *rlane, h *Header) *network.Packet {
-	p := rl.lane.AcquirePacket()
-	p.Kind = r.envKind(rl, h.Inner.Kind)
+func (r *Router) envelope(h *Header) *network.Packet {
+	p := r.net.AcquirePacket()
+	p.Kind = r.envKind(h.Inner.Kind)
 	p.Src = h.Inner.Src
 	p.Dst = h.FinalDst
 	p.Group = h.Inner.Group
@@ -285,39 +236,38 @@ func (r *Router) envelope(rl *rlane, h *Header) *network.Packet {
 	p.Born = h.Inner.Born
 	p.UID = h.Inner.UID
 	p.Payload = h
-	rl.lane.AdoptPacket(p, h.Inner) // inner lives as long as its envelope
+	r.net.AdoptPacket(p, h.Inner) // inner lives as long as its envelope
 	return p
 }
 
 func (r *Router) onPacket(n *network.Node, from network.NodeID, pkt *network.Packet) {
-	rl := &r.rl[r.net.ExecLaneIdx(n.ID)]
 	h, ok := pkt.Payload.(*Header)
 	if !ok {
-		rl.dropped++
+		r.dropped++
 		return
 	}
 	h.PrevHop = from
-	r.forward(rl, n, h)
+	r.forward(n, h)
 }
 
-// forward makes one forwarding decision at node n, on lane rl.
-func (r *Router) forward(rl *rlane, n *network.Node, h *Header) bool {
+// forward makes one forwarding decision at node n.
+func (r *Router) forward(n *network.Node, h *Header) bool {
 	// Arrived at the named destination? (Checked before computing the
 	// node's position — consumption doesn't need it, and logical-hop
 	// traffic terminates here once per hop.)
 	if h.FinalDst == n.ID {
-		r.consume(rl, n, h)
+		r.consume(n, h)
 		return true
 	}
-	pos := rl.lane.TruePosOf(n.ID)
+	pos := n.TruePos()
 	// Anycast completion: nobody closer to the target.
-	next := r.bestGreedy(rl, n, pos, h.Target)
+	next := r.bestGreedy(n, pos, h.Target)
 	if h.FinalDst == network.NoNode && next == network.NoNode && !h.Recovering {
-		r.consume(rl, n, h)
+		r.consume(n, h)
 		return true
 	}
 	if h.TTL <= 0 {
-		r.drop(rl, n, h, "ttl")
+		r.drop(n, h, "ttl")
 		return false
 	}
 	h.TTL--
@@ -330,12 +280,12 @@ func (r *Router) forward(rl *rlane, n *network.Node, h *Header) bool {
 			h.Visited = nil
 		} else {
 			h.Visited[n.ID] = true
-			peri := r.perimeterNext(rl, n, pos, h)
+			peri := r.perimeterNext(n, pos, h)
 			if peri == network.NoNode {
-				r.drop(rl, n, h, "perimeter dead end")
+				r.drop(n, h, "perimeter dead end")
 				return false
 			}
-			return r.transmit(rl, n, peri, h)
+			return r.transmit(n, peri, h)
 		}
 	}
 	if next == network.NoNode {
@@ -343,44 +293,40 @@ func (r *Router) forward(rl *rlane, n *network.Node, h *Header) bool {
 		h.Recovering = true
 		h.EntryDist = pos.Dist(h.Target)
 		h.Visited = map[network.NodeID]bool{n.ID: true}
-		peri := r.perimeterNext(rl, n, pos, h)
+		peri := r.perimeterNext(n, pos, h)
 		if peri == network.NoNode {
-			r.drop(rl, n, h, "void with no perimeter")
+			r.drop(n, h, "void with no perimeter")
 			return false
 		}
-		return r.transmit(rl, n, peri, h)
+		return r.transmit(n, peri, h)
 	}
-	return r.transmit(rl, n, next, h)
+	return r.transmit(n, next, h)
 }
 
-func (r *Router) transmit(rl *rlane, n *network.Node, to network.NodeID, h *Header) bool {
-	env := r.envelope(rl, h)
-	ok := rl.lane.Unicast(n.ID, to, env)
-	rl.lane.ReleasePacket(env) // in-flight references keep it alive
+func (r *Router) transmit(n *network.Node, to network.NodeID, h *Header) bool {
+	env := r.envelope(h)
+	ok := r.net.Unicast(n.ID, to, env)
+	r.net.ReleasePacket(env) // in-flight references keep it alive
 	if !ok {
-		r.drop(rl, n, h, "tx failed")
+		r.drop(n, h, "tx failed")
 		return false
 	}
 	h.Hops++
 	return true
 }
 
-// consume hands the inner packet to its registered consumer. Only ever
-// reached in serial context: a delivery at FinalDst is not
-// shard-confined (the network keeps it on the global lane), and the
-// anycast completion path only exists for FinalDst == NoNode envelopes,
-// which are global too.
-func (r *Router) consume(rl *rlane, n *network.Node, h *Header) {
-	r.Delivered++ //hvdb:serialonly consume deliveries (to == FinalDst, or anycast) are global events; the network pins them to the serial lane, never inside a window
+// consume hands the inner packet to its registered consumer.
+func (r *Router) consume(n *network.Node, h *Header) {
+	r.Delivered++
 	h.Inner.Hops += h.Hops
 	if r.trOn {
-		r.tr.Eventf(trace.Routes, float64(rl.lane.Now()), "geo delivered %s uid=%d at %d", h.Inner.Kind, h.Inner.UID, n.ID)
+		r.tr.Eventf(trace.Routes, float64(r.net.Sim().Now()), "geo delivered %s uid=%d at %d", h.Inner.Kind, h.Inner.UID, n.ID)
 	}
 	var fn DeliverFunc
 	if h.Inner.Kind == r.lastConsKind && r.lastCons != nil {
 		fn = r.lastCons
 	} else if cfn, ok := r.consumers[h.Inner.Kind]; ok {
-		r.lastConsKind, r.lastCons = h.Inner.Kind, cfn //hvdb:serialonly same serial-only path as the Delivered count above
+		r.lastConsKind, r.lastCons = h.Inner.Kind, cfn
 		fn = cfn
 	} else {
 		fn = r.fallbackDeliver
@@ -388,26 +334,26 @@ func (r *Router) consume(rl *rlane, n *network.Node, h *Header) {
 	if fn != nil {
 		fn(n, h.Inner)
 	}
-	r.releaseHeader(rl, h)
+	r.releaseHeader(h)
 }
 
-func (r *Router) drop(rl *rlane, n *network.Node, h *Header, why string) {
-	rl.dropped++
+func (r *Router) drop(n *network.Node, h *Header, why string) {
+	r.dropped++
 	if r.trOn {
-		r.tr.Eventf(trace.Routes, float64(rl.lane.Now()), "geo drop %s uid=%d at %d: %s", h.Inner.Kind, h.Inner.UID, n.ID, why)
+		r.tr.Eventf(trace.Routes, float64(r.net.Sim().Now()), "geo drop %s uid=%d at %d: %s", h.Inner.Kind, h.Inner.UID, n.ID, why)
 	}
-	r.releaseHeader(rl, h)
+	r.releaseHeader(h)
 }
 
 // bestGreedy returns the neighbor strictly closer to the target than n
 // itself, minimizing remaining distance; NoNode when none (local
 // maximum). Distances compare squared — same winner, no square roots.
-func (r *Router) bestGreedy(rl *rlane, n *network.Node, pos, target geom.Point) network.NodeID {
+func (r *Router) bestGreedy(n *network.Node, pos, target geom.Point) network.NodeID {
 	best := network.NoNode
 	bestD2 := pos.Dist2(target)
-	rl.nbrBuf, rl.nbrPos = rl.lane.NeighborsPos(n.ID, rl.nbrBuf[:0], rl.nbrPos[:0])
-	for i, id := range rl.nbrBuf {
-		if d2 := rl.nbrPos[i].Dist2(target); d2 < bestD2 {
+	r.nbrBuf, r.nbrPos = r.net.NeighborsPos(n.ID, r.nbrBuf[:0], r.nbrPos[:0])
+	for i, id := range r.nbrBuf {
+		if d2 := r.nbrPos[i].Dist2(target); d2 < bestD2 {
 			best, bestD2 = id, d2
 		}
 	}
@@ -418,14 +364,14 @@ func (r *Router) bestGreedy(rl *rlane, n *network.Node, pos, target geom.Point) 
 // neighbor subgraph: take the first edge counterclockwise from the edge
 // back to the previous hop (or from the direction toward the target when
 // entering recovery).
-func (r *Router) perimeterNext(rl *rlane, n *network.Node, pos geom.Point, h *Header) network.NodeID {
-	nbrs := r.gabrielNeighbors(rl, n, pos)
+func (r *Router) perimeterNext(n *network.Node, pos geom.Point, h *Header) network.NodeID {
+	nbrs := r.gabrielNeighbors(n, pos)
 	if len(nbrs) == 0 {
 		return network.NoNode
 	}
 	var refAngle float64
-	if h.PrevHop != network.NoNode && r.net.Node(h.PrevHop) != nil {
-		refAngle = rl.lane.TruePosOf(h.PrevHop).Sub(pos).Angle()
+	if prev := r.net.Node(h.PrevHop); prev != nil {
+		refAngle = prev.TruePos().Sub(pos).Angle()
 	} else {
 		refAngle = h.Target.Sub(pos).Angle()
 	}
@@ -446,7 +392,7 @@ func (r *Router) perimeterNext(rl *rlane, n *network.Node, pos geom.Point, h *He
 			if pass == 1 && !h.Visited[id] {
 				continue // covered in pass 0
 			}
-			a := rl.gabPos[i].Sub(pos).Angle()
+			a := r.gabPos[i].Sub(pos).Angle()
 			delta := math.Mod(a-refAngle+4*math.Pi, 2*math.Pi)
 			if delta == 0 {
 				delta = 2 * math.Pi
@@ -470,11 +416,11 @@ func (r *Router) perimeterNext(rl *rlane, n *network.Node, pos geom.Point, h *He
 // diameter uv. The Gabriel graph is planar and connectivity-preserving,
 // the standard GPSR planarization.
 // gabrielNeighbors returns the surviving neighbor IDs with their
-// positions in rl.gabPos (parallel), for the caller's angle computations.
-func (r *Router) gabrielNeighbors(rl *rlane, n *network.Node, pos geom.Point) []network.NodeID {
-	rl.nbrBuf, rl.nbrPos = rl.lane.NeighborsPos(n.ID, rl.nbrBuf[:0], rl.nbrPos[:0])
-	nbrs, poss := rl.nbrBuf, rl.nbrPos
-	out, outPos := rl.gabBuf[:0], rl.gabPos[:0]
+// positions in r.gabPos (parallel), for the caller's angle computations.
+func (r *Router) gabrielNeighbors(n *network.Node, pos geom.Point) []network.NodeID {
+	r.nbrBuf, r.nbrPos = r.net.NeighborsPos(n.ID, r.nbrBuf[:0], r.nbrPos[:0])
+	nbrs, poss := r.nbrBuf, r.nbrPos
+	out, outPos := r.gabBuf[:0], r.gabPos[:0]
 	for i, v := range nbrs {
 		vp := poss[i]
 		mid := geom.Pt((pos.X+vp.X)/2, (pos.Y+vp.Y)/2)
@@ -494,6 +440,6 @@ func (r *Router) gabrielNeighbors(rl *rlane, n *network.Node, pos geom.Point) []
 			outPos = append(outPos, vp)
 		}
 	}
-	rl.gabBuf, rl.gabPos = out, outPos // keep capacity for the next decision
+	r.gabBuf, r.gabPos = out, outPos // keep capacity for the next decision
 	return out
 }

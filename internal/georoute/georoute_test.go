@@ -196,7 +196,7 @@ func TestGabrielNeighborsPlanarity(t *testing.T) {
 	e.add(100, 10)
 	c := e.add(200, 0)
 	e.finish()
-	nbrs := e.r.gabrielNeighbors(&e.r.rl[0], e.net.Node(a.ID), e.net.Node(a.ID).TruePos())
+	nbrs := e.r.gabrielNeighbors(e.net.Node(a.ID), e.net.Node(a.ID).TruePos())
 	for _, id := range nbrs {
 		if id == c.ID {
 			t.Fatal("gabriel graph kept a dominated edge")

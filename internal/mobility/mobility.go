@@ -17,13 +17,12 @@
 // queries inside the current piece are pure — they mutate nothing and
 // their float result depends only on the piece state and the query time,
 // never on which other instants were queried before. All randomness and
-// state mutation happens at piece crossings (Advance), and crossing
+// state mutation happens at piece crossings (advance), and crossing
 // times are trajectory-intrinsic: the same pieces are produced no matter
 // when or how often the model is queried. This query-path independence
-// is what lets the sharded simulation kernel read positions from
-// concurrent workers inside a synchronization window (the network layer
-// advances every expiring piece at the window barrier, so in-window
-// reads are pure) while staying bit-identical to a serial run.
+// is what lets the network layer evaluate positions lazily — only when
+// a neighbor scan or an index refresh needs them — without the query
+// pattern ever changing a result.
 package mobility
 
 import (
@@ -38,14 +37,6 @@ import (
 // deterministic given their PRNG stream.
 type Model interface {
 	gps.Source
-	// Advance crosses piece boundaries up to and including time now: on
-	// return, PieceEnd() > now. Callers must advance with non-decreasing
-	// times. Advancing within the current piece is a no-op, and TrueFix
-	// queries strictly inside the current piece are pure (no mutation).
-	Advance(now float64)
-	// PieceEnd returns the end of the current linear piece: TrueFix(t)
-	// for t in [pieceStart, PieceEnd()) is a pure affine evaluation.
-	PieceEnd() float64
 	// DriftBound returns constants (speed, jump) bounding how far the
 	// node can move: for any t and dt >= 0, the displacement between
 	// TrueFix(t).Pos and TrueFix(t+dt).Pos is at most speed*dt + jump.
@@ -58,12 +49,6 @@ type Model interface {
 
 // Static is a Model that never moves.
 type Static struct{ P geom.Point }
-
-// Advance implements Model.
-func (s *Static) Advance(float64) {}
-
-// PieceEnd implements Model: a static node is one infinite piece.
-func (s *Static) PieceEnd() float64 { return math.Inf(1) }
 
 // DriftBound implements Model: a static node never drifts.
 func (s *Static) DriftBound() (speed, jump float64) { return 0, 0 }
@@ -144,11 +129,8 @@ func (w *Waypoint) DriftBound() (speed, jump float64) {
 	return math.Max(s, 0.1), 0
 }
 
-// PieceEnd implements Model.
-func (w *Waypoint) PieceEnd() float64 { return w.endT }
-
-// Advance implements Model.
-func (w *Waypoint) Advance(now float64) {
+// advance crosses piece boundaries up to and including time now.
+func (w *Waypoint) advance(now float64) {
 	for now >= w.endT {
 		w.legPos = w.dest
 		w.pickLeg(w.endT)
@@ -157,7 +139,7 @@ func (w *Waypoint) Advance(now float64) {
 
 // TrueFix implements gps.Source.
 func (w *Waypoint) TrueFix(now float64) gps.Fix {
-	w.Advance(now)
+	w.advance(now)
 	if now <= w.moveT {
 		return gps.Fix{Pos: w.legPos}
 	}
@@ -269,11 +251,8 @@ func (w *Walk) seal() {
 // DriftBound implements Model.
 func (w *Walk) DriftBound() (speed, jump float64) { return w.Speed, 0 }
 
-// PieceEnd implements Model.
-func (w *Walk) PieceEnd() float64 { return w.endT }
-
-// Advance implements Model.
-func (w *Walk) Advance(now float64) {
+// advance crosses piece boundaries up to and including time now.
+func (w *Walk) advance(now float64) {
 	for now >= w.endT {
 		if w.endT >= w.nextT { // epoch boundary: redraw the heading
 			w.pos = w.pos.Add(w.vel.Scale(w.nextT - w.t0))
@@ -291,7 +270,7 @@ func (w *Walk) Advance(now float64) {
 
 // TrueFix implements gps.Source.
 func (w *Walk) TrueFix(now float64) gps.Fix {
-	w.Advance(now)
+	w.advance(now)
 	return gps.Fix{Pos: w.pos.Add(w.vel.Scale(now - w.t0)), Vel: w.vel}
 }
 
@@ -358,15 +337,12 @@ func (g *GaussMarkov) seal() {
 	}
 }
 
-// DriftBound implements Model: Advance clamps the speed process to
+// DriftBound implements Model: advance clamps the speed process to
 // speedCap, so it is a hard bound on instantaneous speed.
 func (g *GaussMarkov) DriftBound() (speed, jump float64) { return g.speedCap(), 0 }
 
-// PieceEnd implements Model.
-func (g *GaussMarkov) PieceEnd() float64 { return g.endT }
-
-// Advance implements Model.
-func (g *GaussMarkov) Advance(now float64) {
+// advance crosses piece boundaries up to and including time now.
+func (g *GaussMarkov) advance(now float64) {
 	for now >= g.endT {
 		if g.endT >= g.nextT { // epoch boundary: AR(1) update
 			g.pos = g.pos.Add(g.vel.Scale(g.nextT - g.t0))
@@ -399,7 +375,7 @@ func (g *GaussMarkov) Advance(now float64) {
 
 // TrueFix implements gps.Source.
 func (g *GaussMarkov) TrueFix(now float64) gps.Fix {
-	g.Advance(now)
+	g.advance(now)
 	return gps.Fix{Pos: g.pos.Add(g.vel.Scale(now - g.t0)), Vel: g.vel}
 }
 
@@ -444,19 +420,13 @@ func (m *groupMember) redraw() {
 	m.jitterVec = geom.FromPolar(m.rng.Range(0, m.jitter), angle)
 }
 
-// Advance implements Model.
-func (m *groupMember) Advance(now float64) {
-	m.group.center.Advance(now)
+// advance crosses piece boundaries up to and including time now.
+func (m *groupMember) advance(now float64) {
+	m.group.center.advance(now)
 	for e := int(math.Floor(now)); m.epoch < e; {
 		m.epoch++
 		m.redraw()
 	}
-}
-
-// PieceEnd implements Model: a member's piece ends at the earlier of
-// the group center's piece end and its next jitter redraw.
-func (m *groupMember) PieceEnd() float64 {
-	return math.Min(m.group.center.PieceEnd(), float64(m.epoch+1))
 }
 
 // DriftBound implements Model: a member drifts with the group center
@@ -470,7 +440,7 @@ func (m *groupMember) DriftBound() (speed, jump float64) {
 
 // TrueFix implements gps.Source.
 func (m *groupMember) TrueFix(now float64) gps.Fix {
-	m.Advance(now)
+	m.advance(now)
 	f := m.group.center.TrueFix(now)
 	f.Pos = f.Pos.Add(m.offset).Add(m.jitterVec)
 	return f
@@ -597,11 +567,8 @@ func (m *Manhattan) seal() { m.endT = m.t0 + m.along()/m.Speed }
 // DriftBound implements Model.
 func (m *Manhattan) DriftBound() (speed, jump float64) { return m.Speed, 0 }
 
-// PieceEnd implements Model.
-func (m *Manhattan) PieceEnd() float64 { return m.endT }
-
-// Advance implements Model.
-func (m *Manhattan) Advance(now float64) {
+// advance crosses piece boundaries up to and including time now.
+func (m *Manhattan) advance(now float64) {
 	for now >= m.endT {
 		m.pos = m.pos.Add(m.dir.Scale(m.along()))
 		m.t0 = m.endT
@@ -612,7 +579,7 @@ func (m *Manhattan) Advance(now float64) {
 
 // TrueFix implements gps.Source.
 func (m *Manhattan) TrueFix(now float64) gps.Fix {
-	m.Advance(now)
+	m.advance(now)
 	return gps.Fix{
 		Pos: m.pos.Add(m.dir.Scale(m.Speed * (now - m.t0))),
 		Vel: m.dir.Scale(m.Speed),

@@ -70,13 +70,13 @@ func TestWaypointPauseHasZeroVelocity(t *testing.T) {
 
 func TestWaypointMonotonicAdvanceConsistency(t *testing.T) {
 	// Sampling densely vs sparsely must land at the same position,
-	// since Advance is deterministic in its PRNG consumption order.
+	// since advance is deterministic in its PRNG consumption order.
 	a := NewWaypoint(arena, 1, 20, 2, xrand.New(5))
 	b := NewWaypoint(arena, 1, 20, 2, xrand.New(5))
 	for now := 0.0; now <= 300; now += 0.25 {
-		a.Advance(now)
+		a.advance(now)
 	}
-	b.Advance(300)
+	b.advance(300)
 	pa, pb := a.TrueFix(300).Pos, b.TrueFix(300).Pos
 	if pa.Dist(pb) > 1e-6 {
 		t.Fatalf("dense %v vs sparse %v sampling diverged", pa, pb)

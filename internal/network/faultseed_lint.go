@@ -2,31 +2,16 @@
 
 package network
 
-// This file seeds the two bug shapes the PR 10 interprocedural lint
-// engine exists to catch, both invisible to a purely intraprocedural
-// check: a hub write buried two module-local calls below a lane
-// function, and an acquired pooled packet handed to a helper that
-// silently drops the reference. internal/lint's fault-seed self-test
-// loads this package with -tags faultseed and asserts that shardsafe
-// and poolpair report both, each naming the full call path; plain
-// builds never compile this file, so the module stays lint-clean.
+// This file seeds the bug shape the interprocedural lint engine exists
+// to catch, invisible to a purely intraprocedural check: an acquired
+// pooled packet handed to a helper that silently drops the reference.
+// internal/lint's fault-seed self-test loads this package with
+// -tags faultseed and asserts that poolpair reports it; plain builds
+// never compile this file, so the module stays lint-clean.
 
-// FaultSeedLintActive reports that the seeded lint faults are compiled
-// in (mirrors multicast.FaultSeedActive from the PR 7 pattern).
+// FaultSeedLintActive reports that the seeded lint fault is compiled
+// in (mirrors multicast.FaultSeedActive).
 const FaultSeedLintActive = true
-
-// faultSeedLaneProbe is a lane function: the hub write it reaches
-// through two helpers is a cross-shard race were it ever scheduled.
-func (w *Network) faultSeedLaneProbe(ls *laneState) {
-	ls.pktCheckedOut += 0
-	w.faultSeedHopA()
-}
-
-func (w *Network) faultSeedHopA() { w.faultSeedHopB() }
-
-// faultSeedHopB clobbers shared hub state two calls below the lane
-// root.
-func (w *Network) faultSeedHopB() { w.grain = 0 }
 
 // faultSeedLeakProbe acquires a pooled packet and hands it to a
 // read-only helper: the reference dies in the callee.

@@ -56,7 +56,6 @@ import (
 	"math"
 	"math/bits"
 	"slices"
-	"strings"
 
 	"repro/internal/des"
 	"repro/internal/geom"
@@ -222,54 +221,6 @@ func (n *Node) Recover() {
 	n.net.indexInsert(n.ID)
 }
 
-// laneState groups the per-lane mutable state of the delivery path:
-// position memos, the neighbor-query memo, traffic accounting, and the
-// packet pool. The unsharded network has exactly one (embedded in
-// Network, so field references read naturally); EnableSharding adds one
-// per extra shard, and every delivery executes against the lane of the
-// shard that owns it, so concurrent lane workers never share a memo, a
-// counter, or a free list. Counters are folded across lanes at read
-// time (sums and bitset unions commute, so totals are shard-count
-// independent); memos and pools are pure caches that never influence
-// results.
-type laneState struct {
-	// exact memoizes each node's true position per simulation instant.
-	// It lives apart from sp because the memo *hit* is the hot case —
-	// every candidate surviving a neighbor scan's prefilter checks it —
-	// and the 24-byte records pack ~3 nodes per cache line where the
-	// full spatialState spans two lines on its own.
-	exact []posMemo
-
-	// One-entry neighbor-query memo. Protocol bursts query the same
-	// sender repeatedly within one instant (a CH geo-routes one
-	// envelope per logical neighbor back to back); the memo replays
-	// the result as two appends instead of a grid scan. topoVer
-	// invalidates it on any index membership change.
-	nbrMemoID  NodeID
-	nbrMemoAt  des.Time
-	nbrMemoVer uint64
-	nbrMemoIDs []NodeID
-	nbrMemoPos []geom.Point
-
-	// Aggregate accounting, interned by packet kind, with a one-entry
-	// cache riding the same-kind burstiness of protocol traffic.
-	kinds     map[string]*kindCounter
-	lastKind  string
-	lastKC    *kindCounter
-	ctrlBytes uint64
-	dataBytes uint64
-	lost      uint64
-
-	// Free list for pooled packets; pktCheckedOut balances
-	// AcquirePacket against pool recycling. A packet acquired on one
-	// lane may recycle on another (the per-lane counts then go +1/-1),
-	// so only the sum across lanes is meaningful — it must return to
-	// zero once the simulator drains (the leak check scenario
-	// integration tests assert at world teardown).
-	freePkts      []*Packet
-	pktCheckedOut int
-}
-
 // spatialState is the per-node bookkeeping of the incremental index.
 // It deliberately duplicates the mobility model in one parallel
 // struct-of-arrays slice: refreshTo and NeighborsPos iterate thousands
@@ -315,9 +266,7 @@ type Network struct {
 	// Buckets carry each member's anchor position inline (cellEntry),
 	// so the query prefilter is one sequential scan per bucket and only
 	// surviving candidates touch the per-node spatial state. Tiles are
-	// materialized only from serial context (insert/refresh at window
-	// barriers); scans never allocate, which keeps them pure inside
-	// parallel windows.
+	// materialized by index maintenance only; scans never allocate.
 	cellSize float64
 	slack    float64 // staleness tolerance of cached cell positions
 	gridMinX float64
@@ -330,12 +279,39 @@ type Network struct {
 	sp       []spatialState
 	refresh  []NodeID // index min-heap keyed by sp[id].safeUntil
 
-	// laneState is lane 0: the serial execution context, and shard 0's
-	// context during a parallel window (serial execution and windows
-	// never overlap, so the sharing is race-free). Embedding keeps the
-	// unsharded hot path's field accesses — w.exact, w.kinds, w.lost —
-	// exactly as they were.
-	laneState
+	// exact memoizes each node's true position per simulation instant.
+	// It lives apart from sp because the memo *hit* is the hot case —
+	// every candidate surviving a neighbor scan's prefilter checks it —
+	// and the 24-byte records pack ~3 nodes per cache line where the
+	// full spatialState spans two lines on its own.
+	exact []posMemo
+
+	// One-entry neighbor-query memo. Protocol bursts query the same
+	// sender repeatedly within one instant (a CH geo-routes one
+	// envelope per logical neighbor back to back); the memo replays
+	// the result as two appends instead of a grid scan. topoVer
+	// invalidates it on any index membership change.
+	nbrMemoID  NodeID
+	nbrMemoAt  des.Time
+	nbrMemoVer uint64
+	nbrMemoIDs []NodeID
+	nbrMemoPos []geom.Point
+
+	// Aggregate accounting, interned by packet kind, with a one-entry
+	// cache riding the same-kind burstiness of protocol traffic.
+	kinds     map[string]*kindCounter
+	lastKind  string
+	lastKC    *kindCounter
+	ctrlBytes uint64
+	dataBytes uint64
+	lost      uint64
+
+	// Free list for pooled packets; pktCheckedOut balances
+	// AcquirePacket against pool recycling and must return to zero once
+	// the simulator drains (the leak check scenario integration tests
+	// assert at world teardown).
+	freePkts      []*Packet
+	pktCheckedOut int
 
 	// hot packs the delivery hot path's per-node state — liveness,
 	// receive counters, handler, and the node pointer — into one record
@@ -344,52 +320,22 @@ type Network struct {
 	// authoritative liveness flag (Node.Up reads it).
 	hot []nodeHot
 
-	// topoVer invalidates every lane's neighbor memo on any index
-	// membership change. Written only from serial context (Fail/Recover
-	// and index maintenance); lanes read it.
+	// topoVer invalidates the neighbor memo on any index membership
+	// change (Fail/Recover and index maintenance).
 	topoVer uint64
 
 	nextUID uint64
 
 	// grain is the smallest radio delay quantum admitted so far; it
-	// feeds the event scheduler's bucket sizing (des.Simulator.SetGrain)
-	// and, when sharding is enabled, the engine's conservative lookahead.
+	// feeds the event scheduler's bucket sizing (des.Simulator.SetGrain).
 	grain float64
 
 	// deliverFn is the one method value every delivery event shares as
-	// its ScheduleCallU target; deliverLaneFn is its counterpart for
-	// events on shard lanes (it resolves the receiver's lane state).
-	deliverFn     func(any, uint64)
-	deliverLaneFn func(any, uint64)
+	// its ScheduleCallU target.
+	deliverFn func(any, uint64)
 
-	// freeTx pools broadcast transmission records (broadcasts only run
-	// from serial context, so one shared pool suffices).
+	// freeTx pools broadcast transmission records.
 	freeTx []*transmission
-
-	// Sharding state (nil/empty unless EnableSharding was called).
-	// shardOf maps each node to its spatial stripe; aux holds the lane
-	// states of shards 1..k-1 (shard 0 shares the embedded laneState);
-	// laneViews are the stable Lane handles handed to routing layers.
-	// pieces is a lazily-corrected min-heap over mobile nodes'
-	// mobility-piece end times: the window barrier advances expiring
-	// pieces and caps each window below the earliest remaining boundary,
-	// which is what makes concurrent in-window TrueFix reads pure.
-	eng            *des.Sharded
-	confinedPrefix string
-	shardOf        []int32
-	aux            []laneState
-	laneViews      []Lane
-	pieces         []pieceEntry
-	onShard        []func(k int)
-}
-
-// pieceEntry is one mobile node's entry in the piece-expiry heap,
-// ordered by (end, id). Entries may be stale — serial-phase TrueFix
-// calls advance pieces without touching the heap — and are corrected
-// lazily when they surface at the top.
-type pieceEntry struct {
-	end des.Time
-	id  NodeID
 }
 
 // posMemo is one node's true-position memo: pos is valid at instant at
@@ -473,28 +419,17 @@ func (k *kindCounter) setSender(id NodeID) {
 // simulator.
 func New(sim *des.Simulator, arena geom.Rect, rng *xrand.Rand) *Network {
 	w := &Network{
-		sim:      sim,
-		arena:    arena,
-		rng:      rng,
-		tracer:   trace.Nop,
-		cellSize: radio.DefaultCH.Range,
+		sim:       sim,
+		arena:     arena,
+		rng:       rng,
+		tracer:    trace.Nop,
+		cellSize:  radio.DefaultCH.Range,
+		kinds:     make(map[string]*kindCounter),
+		nbrMemoID: NoNode,
 	}
-	w.initLane(&w.laneState, 0)
 	w.deliverFn = w.runDelivery
-	w.deliverLaneFn = w.runDeliveryLane
 	w.sizeGrid()
 	return w
-}
-
-// initLane readies a lane state: non-nil kind map, empty memos, and a
-// position-memo slot per existing node.
-func (w *Network) initLane(ls *laneState, nodes int) {
-	ls.kinds = make(map[string]*kindCounter)
-	ls.nbrMemoID = NoNode
-	ls.exact = make([]posMemo, nodes)
-	for i := range ls.exact {
-		ls.exact[i] = posMemo{at: -1}
-	}
 }
 
 // sizeGrid (re)computes the grid dimensions for the current cell size
@@ -511,17 +446,10 @@ func (w *Network) sizeGrid() {
 	w.tiles = make([]*gridTile, w.tileCols*w.tileRows)
 }
 
-// SetTracer installs a tracer; nil resets to no-op. Tracing and the
-// sharded kernel are mutually exclusive (lane-local emission would
-// interleave nondeterministically): EnableSharding refuses a traced
-// network, and installing a tracer afterwards panics rather than
-// silently corrupting the trace stream.
+// SetTracer installs a tracer; nil resets to no-op.
 func (w *Network) SetTracer(t trace.Tracer) {
 	if t == nil {
 		t = trace.Nop
-	}
-	if w.eng != nil && t != trace.Nop {
-		panic("network: cannot install a tracer on a sharded network")
 	}
 	w.tracer = t
 	w.trOn = t != trace.Nop
@@ -569,32 +497,7 @@ func (w *Network) AddNode(mob mobility.Model, rm radio.Model, receiver gps.Recei
 	} else {
 		w.indexInsert(n.ID)
 	}
-	if w.eng != nil {
-		w.admitSharded(n)
-	}
 	return n
-}
-
-// admitSharded extends the sharding state for a node added after
-// EnableSharding (late joiners in integration scenarios): stripe
-// assignment from its entry position, a position-memo slot on every aux
-// lane, and a piece-heap entry when it moves. The node must satisfy the
-// same bounds EnableSharding checked for the initial population.
-func (w *Network) admitSharded(n *Node) {
-	sp := &w.sp[n.ID]
-	if q := n.pre.DelayQuantum(); des.Duration(q) < w.eng.Lookahead() {
-		panic(fmt.Sprintf("network: node %d hop-delay quantum %v below the shard lookahead %v", n.ID, q, w.eng.Lookahead()))
-	}
-	if span := w.safeSpan(sp); span < w.eng.Lookahead() {
-		panic(fmt.Sprintf("network: node %d drift consumes the index slack in %v, below the shard lookahead %v", n.ID, span, w.eng.Lookahead()))
-	}
-	w.shardOf = append(w.shardOf, w.stripeOf(sp.anchorPos))
-	for i := range w.aux {
-		w.aux[i].exact = append(w.aux[i].exact, posMemo{at: -1})
-	}
-	if end := des.Time(sp.mob.PieceEnd()); end < des.Infinity {
-		w.piecePush(pieceEntry{end: end, id: n.ID})
-	}
 }
 
 // reindexAll rebuilds every live node's bucket after a cell-size change
@@ -654,7 +557,7 @@ func (w *Network) tileAt(c cellKey) *gridTile {
 }
 
 // ensureTile returns the page holding a cell, materializing it on
-// first touch. Only called from serial context (index maintenance).
+// first touch (index maintenance only).
 func (w *Network) ensureTile(c cellKey) *gridTile {
 	ti := (c.cy>>tileShift)*w.tileCols + c.cx>>tileShift
 	t := w.tiles[ti]
@@ -670,26 +573,18 @@ func tileSlot(c cellKey) int { return (c.cy&tileMask)<<tileShift | (c.cx & tileM
 
 // truePos returns the node's exact position at the current instant,
 // memoized so repeated queries within one event burst advance the
-// mobility model once. It is tied to the serial clock: inside a
-// parallel window, positions must be read through a Lane (which knows
-// its own clock and memo), so calling this there is a bug worth
-// failing loudly over.
+// mobility model once.
 func (w *Network) truePos(n *Node) geom.Point {
-	if w.eng != nil && w.eng.InParallel() {
-		panic("network: TruePos from a parallel window; read positions through the Lane view")
-	}
-	return w.truePosAt(&w.laneState, n.ID, w.sim.Now())
+	return w.truePosAt(n.ID, w.sim.Now())
 }
 
 // truePosAt works purely off the compact memo slice: the candidate
 // loops of NeighborsPos and refreshTo call it per candidate, and the
 // common case — the position was already computed this instant by an
 // earlier scan — touches one 24-byte record. Only a miss evaluates the
-// mobility model; inside a parallel window that evaluation is a pure
-// read (the barrier advanced every piece crossing the window), so
-// concurrent lanes may query the same node through their own memos.
-func (w *Network) truePosAt(ls *laneState, id NodeID, now des.Time) geom.Point {
-	e := &ls.exact[id]
+// mobility model.
+func (w *Network) truePosAt(id NodeID, now des.Time) geom.Point {
+	e := &w.exact[id]
 	if e.at != now {
 		e.pos = w.sp[id].mob.TrueFix(float64(now)).Pos
 		e.at = now
@@ -745,10 +640,9 @@ func (w *Network) indexRemove(id NodeID) {
 // bearing: neighbor scans enumerate bucket members in storage order,
 // and that enumeration order decides broadcast receiver numbering,
 // per-receiver loss draws, and greedy-routing tie-breaks. Insertion-
-// order buckets would make all of those depend on the history of index
-// refreshes — which differs between a serial run and a sharded run
-// (barriers refresh eagerly) — so the canonical order is what keeps
-// results bit-identical across shard counts.
+// order buckets would make all of those depend on the history of lazy
+// index refreshes; the canonical order makes them a function of the
+// node positions alone.
 
 // bucketInsert places an entry at its ID-ordered slot, materializing
 // the cell's page on first touch.
@@ -807,7 +701,7 @@ func (w *Network) refreshTo(now des.Time) {
 		if sp.safeUntil >= now {
 			return
 		}
-		pos := w.truePosAt(&w.laneState, id, now)
+		pos := w.truePosAt(id, now)
 		sp.anchorPos = pos
 		if c := w.cellOf(pos); c != sp.cell {
 			w.bucketRemove(sp.cell, id)
@@ -915,37 +809,29 @@ func (w *Network) NeighborsAppend(id NodeID, out []NodeID) []NodeID {
 // is non-nil. Routing hot paths use it to avoid recomputing positions
 // the range check already produced.
 func (w *Network) NeighborsPos(id NodeID, ids []NodeID, pos []geom.Point) ([]NodeID, []geom.Point) {
-	return w.neighborsPosLS(&w.laneState, w.sim.Now(), id, ids, pos)
-}
-
-func (w *Network) neighborsPosLS(ls *laneState, now des.Time, id NodeID, ids []NodeID, pos []geom.Point) ([]NodeID, []geom.Point) {
 	n := w.Node(id)
 	if n == nil || !w.hot[id].up {
 		return ids, pos
 	}
-	if ls.nbrMemoID != id || ls.nbrMemoAt != now || ls.nbrMemoVer != w.topoVer {
-		w.scanNeighbors(ls, n, now)
+	if now := w.sim.Now(); w.nbrMemoID != id || w.nbrMemoAt != now || w.nbrMemoVer != w.topoVer {
+		w.scanNeighbors(n, now)
 	}
-	ids = append(ids, ls.nbrMemoIDs...)
+	ids = append(ids, w.nbrMemoIDs...)
 	if pos != nil {
-		pos = append(pos, ls.nbrMemoPos...)
+		pos = append(pos, w.nbrMemoPos...)
 	}
 	return ids, pos
 }
 
 // scanNeighbors runs the grid scan for the sender at the given instant
-// and records the result in the lane's one-entry memo. Inside a
-// parallel window the scan is read-only over all shared structures:
-// refreshTo finds nothing to pop (the barrier refreshed past the
-// window), bucket walks and position evaluations are pure, and all
-// writes land in the caller's own lane state.
-func (w *Network) scanNeighbors(ls *laneState, n *Node, now des.Time) {
+// and records the result in the one-entry neighbor memo.
+func (w *Network) scanNeighbors(n *Node, now des.Time) {
 	id := n.ID
-	ls.nbrMemoID, ls.nbrMemoAt, ls.nbrMemoVer = id, now, w.topoVer
-	ids, pos := ls.nbrMemoIDs[:0], ls.nbrMemoPos[:0]
-	w.refreshTo(now) //hvdb:serialonly in-window the barrier has refreshed past the window bound, so the pop loop body never executes; index writes below this edge happen in serial context only
+	w.nbrMemoID, w.nbrMemoAt, w.nbrMemoVer = id, now, w.topoVer
+	ids, pos := w.nbrMemoIDs[:0], w.nbrMemoPos[:0]
+	w.refreshTo(now)
 
-	p := w.truePosAt(ls, id, now)
+	p := w.truePosAt(id, now)
 	// A node in range r has its anchor position within r+slack of p, so
 	// scanning the cells overlapping that disc and prefiltering on the
 	// anchor (no mobility advance) is exhaustive; only candidates inside
@@ -996,7 +882,7 @@ func (w *Network) scanNeighbors(ls *laneState, n *Node, now des.Time) {
 						}
 						continue
 					}
-					op := w.truePosAt(ls, e.id, now)
+					op := w.truePosAt(e.id, now)
 					if p.Dist2(op) <= r2 {
 						ids = append(ids, e.id)
 						pos = append(pos, op)
@@ -1005,7 +891,7 @@ func (w *Network) scanNeighbors(ls *laneState, n *Node, now des.Time) {
 			}
 		}
 	}
-	ls.nbrMemoIDs, ls.nbrMemoPos = ids, pos
+	w.nbrMemoIDs, w.nbrMemoPos = ids, pos
 }
 
 // InRange reports whether a's radio currently reaches b and both are up.
@@ -1017,29 +903,27 @@ func (w *Network) InRange(a, b NodeID) bool {
 	return na.pre.InRange2(w.truePos(na).Dist2(w.truePos(nb)))
 }
 
-// account charges a transmission to the sender and the lane's per-kind
-// counters. The node counters are safe from lane context because a
-// node only transmits from events executing on its own shard; the kind
-// counters are lane-private and folded at read time.
-func (w *Network) account(ls *laneState, n *Node, pkt *Packet) {
+// account charges a transmission to the sender and the per-kind
+// counters.
+func (w *Network) account(n *Node, pkt *Packet) {
 	n.TxPackets++
 	n.TxBytes += uint64(pkt.Size)
-	kc := ls.lastKC
-	if kc == nil || pkt.Kind != ls.lastKind {
-		kc = ls.kinds[pkt.Kind]
+	kc := w.lastKC
+	if kc == nil || pkt.Kind != w.lastKind {
+		kc = w.kinds[pkt.Kind]
 		if kc == nil {
 			kc = &kindCounter{}
-			ls.kinds[pkt.Kind] = kc
+			w.kinds[pkt.Kind] = kc
 		}
-		ls.lastKind, ls.lastKC = pkt.Kind, kc
+		w.lastKind, w.lastKC = pkt.Kind, kc
 	}
 	kc.tx++
 	kc.bytes += uint64(pkt.Size)
 	kc.setSender(n.ID)
 	if pkt.Control {
-		ls.ctrlBytes += uint64(pkt.Size)
+		w.ctrlBytes += uint64(pkt.Size)
 	} else {
-		ls.dataBytes += uint64(pkt.Size)
+		w.dataBytes += uint64(pkt.Size)
 	}
 	if pkt.Src != n.ID {
 		n.ForwardLoad++
@@ -1057,58 +941,7 @@ func packHop(from, to NodeID) uint64 {
 // runDelivery is the shared ScheduleCallU target for all deliveries
 // (installed once as w.deliverFn so events don't allocate closures).
 func (w *Network) runDelivery(a any, u uint64) {
-	w.deliverLS(&w.laneState, NodeID(uint32(u>>32)), NodeID(uint32(u)), a.(*Packet))
-}
-
-// runDeliveryLane is runDelivery for events placed on a shard lane: the
-// receive counters and the packet recycle are charged to the lane that
-// owns the receiver. It also runs at most once per receiver per event,
-// so the whole body touches only that shard's state.
-func (w *Network) runDeliveryLane(a any, u uint64) {
-	to := NodeID(uint32(u))
-	w.deliverLS(w.lane(int(w.shardOf[to])), NodeID(uint32(u>>32)), to, a.(*Packet))
-}
-
-// isConfined reports whether a delivery may execute on the receiver's
-// shard lane: a relay hop of the routing layer's confined kind space
-// (the geo envelope prefix) that is not the final consume at pkt.Dst.
-// Consumes, anycast sends (Dst == NoNode), and all other kinds reach
-// protocol state beyond the receiving shard and stay on the global lane.
-func (w *Network) isConfined(to NodeID, pkt *Packet) bool {
-	return pkt.Dst != NoNode && to != pkt.Dst && strings.HasPrefix(pkt.Kind, w.confinedPrefix)
-}
-
-// scheduleDelivery routes one delivery according to the execution
-// context. Unsharded: an ordinary simulator event. Sharded, from serial
-// context: confined deliveries go straight onto the receiver's lane
-// with a fresh sequence number (ScheduleLaneDirect draws the same seq
-// an AfterCallU here would have, so the rerouting is invisible to the
-// total order); global ones schedule normally. Inside a parallel
-// window, nothing schedules directly — the delivery is logged as an
-// intent keyed by the executing event and materialized at the barrier.
-func (w *Network) scheduleDelivery(now des.Time, delay des.Duration, from, to NodeID, pkt *Packet) {
-	if pkt.pooled {
-		pkt.refs++
-	}
-	if w.eng == nil {
-		w.sim.AfterCallU(delay, w.deliverFn, pkt, packHop(from, to))
-		return
-	}
-	at := now + delay
-	if w.eng.InParallel() {
-		fromLane := int(w.shardOf[from])
-		if w.isConfined(to, pkt) {
-			w.eng.LogIntent(fromLane, int(w.shardOf[to]), at, w.deliverLaneFn, pkt, packHop(from, to))
-		} else {
-			w.eng.LogIntent(fromLane, des.LaneGlobal, at, w.deliverFn, pkt, packHop(from, to))
-		}
-		return
-	}
-	if w.isConfined(to, pkt) {
-		w.eng.ScheduleLaneDirect(int(w.shardOf[to]), at, w.deliverLaneFn, pkt, packHop(from, to))
-		return
-	}
-	w.sim.AfterCallU(delay, w.deliverFn, pkt, packHop(from, to))
+	w.deliver(NodeID(uint32(u>>32)), NodeID(uint32(u)), a.(*Packet))
 }
 
 // transmission is one pooled multi-receiver broadcast in flight: the
@@ -1151,7 +984,7 @@ func runTransmission(a any) {
 	t.ids = t.ids[:0]
 	t.at = t.at[:0]
 	w.freeTx = append(w.freeTx, t) // recycle before the handler runs
-	w.deliverLS(&w.laneState, from, inlineTo, pkt)
+	w.deliver(from, inlineTo, pkt)
 }
 
 func (w *Network) allocTransmission() *transmission {
@@ -1168,35 +1001,28 @@ func (w *Network) allocTransmission() *transmission {
 // range); a true return still allows in-flight loss per the radio model.
 // Delivery is scheduled on the simulator after the radio's hop delay.
 func (w *Network) Unicast(from, to NodeID, pkt *Packet) bool {
-	return w.unicastLS(&w.laneState, w.sim.Now(), from, to, pkt)
-}
-
-// unicastLS is Unicast against an explicit lane state and clock, the
-// form lane handlers reach through their Lane view. Every write it
-// performs lands either in ls (accounting, loss) or in state owned by
-// the sending node (tx counters, the loss draw from the sender's rng) —
-// and a node's transmissions always execute on the shard that owns it,
-// in the same (at, seq) order as the serial run, so the rng draw
-// sequence per node is shard-count independent.
-func (w *Network) unicastLS(ls *laneState, now des.Time, from, to NodeID, pkt *Packet) bool {
 	src := w.Node(from)
 	dst := w.Node(to)
 	if src == nil || dst == nil || !w.hot[from].up || !w.hot[to].up {
 		return false
 	}
-	d2 := w.truePosAt(ls, from, now).Dist2(w.truePosAt(ls, to, now))
+	now := w.sim.Now()
+	d2 := w.truePosAt(from, now).Dist2(w.truePosAt(to, now))
 	if !src.pre.InRange2(d2) {
 		return false
 	}
-	w.account(ls, src, pkt)
+	w.account(src, pkt)
 	if src.Radio.Lost(&src.rng) {
-		ls.lost++
+		w.lost++
 		if w.trOn {
 			w.tracer.Eventf(trace.Radio, float64(now), "LOST %s %d->%d", pkt.Kind, from, to)
 		}
 		return true
 	}
-	w.scheduleDelivery(now, des.Duration(src.pre.HopDelay2(pkt.Size, d2)), from, to, pkt)
+	if pkt.pooled {
+		pkt.refs++
+	}
+	w.sim.AfterCallU(des.Duration(src.pre.HopDelay2(pkt.Size, d2)), w.deliverFn, pkt, packHop(from, to))
 	return true
 }
 
@@ -1213,27 +1039,19 @@ func (w *Network) unicastLS(ls *laneState, now des.Time, from, to NodeID, pkt *P
 // so delivery timestamps, tie-break order, and the executed-event count
 // are bit-identical to the unbatched path.
 func (w *Network) Broadcast(from NodeID, pkt *Packet) int {
-	if w.eng != nil && w.eng.InParallel() {
-		// A broadcast reserves a seq block and schedules a global
-		// transmission event — both serial-only operations. Confined
-		// (lane-executable) traffic is unicast relay forwarding;
-		// protocols broadcast from timer and consume events, which are
-		// global and run serially.
-		panic("network: Broadcast from a parallel window")
-	}
 	src := w.Node(from)
 	if src == nil || !w.hot[from].up {
 		return 0
 	}
 	now := w.sim.Now()
 	if w.nbrMemoID != from || w.nbrMemoAt != now || w.nbrMemoVer != w.topoVer {
-		w.scanNeighbors(&w.laneState, src, now)
+		w.scanNeighbors(src, now)
 	}
 	// Read the memo slices directly — nothing in the loop below can
 	// trigger a rescan, and the per-transmission copy into caller
 	// scratch is measurable at 10k-scale broadcast volume.
 	nbrs, poss := w.nbrMemoIDs, w.nbrMemoPos
-	w.account(&w.laneState, src, pkt)
+	w.account(src, pkt)
 	sp := w.truePos(src)
 	t := w.allocTransmission()
 	// Size a fresh (or smaller) record once instead of growing it by
@@ -1284,10 +1102,9 @@ func (w *Network) Broadcast(from NodeID, pkt *Packet) int {
 	return len(nbrs)
 }
 
-// deliverLS completes one delivery against the lane that owns the
-// receiver: receive counters and the handler run, then the lane drops
-// its in-flight packet reference.
-func (w *Network) deliverLS(ls *laneState, from, to NodeID, pkt *Packet) {
+// deliver completes one delivery: receive counters and the handler run,
+// then the delivery drops its in-flight packet reference.
+func (w *Network) deliver(from, to NodeID, pkt *Packet) {
 	e := &w.hot[to]
 	if e.up { // may have gone down while the packet was in flight
 		pkt.Hops++
@@ -1298,7 +1115,7 @@ func (w *Network) deliverLS(ls *laneState, from, to NodeID, pkt *Packet) {
 		}
 	}
 	if pkt.pooled {
-		w.unrefLS(ls, pkt)
+		w.unref(pkt)
 	}
 }
 
@@ -1310,20 +1127,16 @@ func (w *Network) deliverLS(ls *laneState, from, to NodeID, pkt *Packet) {
 // yields an unpooled copy for that. Best suited to high-volume packets
 // whose handlers consume them immediately (beacons, geo envelopes).
 func (w *Network) AcquirePacket() *Packet {
-	return w.acquirePacketLS(&w.laneState)
-}
-
-func (w *Network) acquirePacketLS(ls *laneState) *Packet {
 	var p *Packet
-	if n := len(ls.freePkts); n > 0 {
-		p = ls.freePkts[n-1]
-		ls.freePkts = ls.freePkts[:n-1]
+	if n := len(w.freePkts); n > 0 {
+		p = w.freePkts[n-1]
+		w.freePkts = w.freePkts[:n-1]
 	} else {
 		p = &Packet{}
 	}
 	p.pooled = true
 	p.refs = 1
-	ls.pktCheckedOut++
+	w.pktCheckedOut++
 	return p
 }
 
@@ -1332,27 +1145,15 @@ func (w *Network) acquirePacketLS(ls *laneState) *Packet {
 // in-flight deliveries. Once every send has released its reference and
 // the simulator has drained, the balance is zero; a positive residue
 // after teardown is a leak (a handler retained a pooled packet, or a
-// Release call is missing). A packet acquired on one lane may recycle
-// on another, so the per-lane balances are summed; only the total is
-// meaningful.
-func (w *Network) PooledInFlight() int {
-	n := w.pktCheckedOut
-	for i := range w.aux {
-		n += w.aux[i].pktCheckedOut
-	}
-	return n
-}
+// Release call is missing).
+func (w *Network) PooledInFlight() int { return w.pktCheckedOut }
 
 // ReleasePacket drops the caller's reference to a packet obtained from
 // AcquirePacket. Calling it on nil or unpooled packets is a no-op, so
 // call sites need not distinguish.
 func (w *Network) ReleasePacket(p *Packet) {
-	w.releasePacketLS(&w.laneState, p)
-}
-
-func (w *Network) releasePacketLS(ls *laneState, p *Packet) {
 	if p != nil && p.pooled {
-		w.unrefLS(ls, p)
+		w.unref(p)
 	}
 }
 
@@ -1380,15 +1181,15 @@ func (w *Network) AdoptPacket(parent, child *Packet) {
 	parent.child = child
 }
 
-func (w *Network) unrefLS(ls *laneState, p *Packet) {
+func (w *Network) unref(p *Packet) {
 	p.refs--
 	if p.refs <= 0 {
 		child := p.child
 		*p = Packet{}
-		ls.freePkts = append(ls.freePkts, p)
-		ls.pktCheckedOut--
+		w.freePkts = append(w.freePkts, p)
+		w.pktCheckedOut--
 		if child != nil {
-			w.releasePacketLS(ls, child)
+			w.ReleasePacket(child)
 		}
 	}
 }
@@ -1401,35 +1202,18 @@ type Stats struct {
 	KindBytes               map[string]uint64
 }
 
-// eachLane visits lane 0 and every aux lane. Readers use it to fold
-// the per-lane counters: sums and bitset unions commute, so the folded
-// totals do not depend on which shard carried which traffic — they are
-// shard-count independent whenever the underlying event totals are.
-func (w *Network) eachLane(f func(ls *laneState)) {
-	f(&w.laneState)
-	for i := range w.aux {
-		f(&w.aux[i])
-	}
-}
-
-// Stats returns a copy of the aggregate counters, folded across lanes.
+// Stats returns a copy of the aggregate counters.
 func (w *Network) Stats() Stats {
 	kt := make(map[string]uint64, len(w.kinds))
 	kb := make(map[string]uint64, len(w.kinds))
-	st := Stats{KindTx: kt, KindBytes: kb}
-	w.eachLane(func(ls *laneState) {
-		st.ControlBytes += ls.ctrlBytes
-		st.DataBytes += ls.dataBytes
-		st.Lost += ls.lost
-		for k, c := range ls.kinds {
-			if c.tx == 0 && c.bytes == 0 {
-				continue
-			}
-			kt[k] += c.tx
-			kb[k] += c.bytes
+	for k, c := range w.kinds {
+		if c.tx == 0 && c.bytes == 0 {
+			continue
 		}
-	})
-	return st
+		kt[k] = c.tx
+		kb[k] = c.bytes
+	}
+	return Stats{ControlBytes: w.ctrlBytes, DataBytes: w.dataBytes, Lost: w.lost, KindTx: kt, KindBytes: kb}
 }
 
 // BytesMatching sums transmitted bytes over packet kinds accepted by
@@ -1437,13 +1221,11 @@ func (w *Network) Stats() Stats {
 // plane appears both under its own kind and under "geo:<kind>").
 func (w *Network) BytesMatching(match func(kind string) bool) uint64 {
 	var total uint64
-	w.eachLane(func(ls *laneState) {
-		for k, c := range ls.kinds {
-			if match(k) {
-				total += c.bytes
-			}
+	for k, c := range w.kinds {
+		if match(k) {
+			total += c.bytes
 		}
-	})
+	}
 	return total
 }
 
@@ -1452,20 +1234,18 @@ func (w *Network) BytesMatching(match func(kind string) bool) uint64 {
 // measure of the paper's membership argument.
 func (w *Network) SendersMatching(match func(kind string) bool) int {
 	var union []uint64
-	w.eachLane(func(ls *laneState) {
-		//hvdb:unordered bitset union is commutative: the appends only zero-extend to the widest sender set and every bit lands via |=
-		for k, c := range ls.kinds {
-			if !match(k) {
-				continue
-			}
-			for len(union) < len(c.senders) {
-				union = append(union, 0)
-			}
-			for i, b := range c.senders {
-				union[i] |= b
-			}
+	//hvdb:unordered bitset union is commutative: the appends only zero-extend to the widest sender set and every bit lands via |=
+	for k, c := range w.kinds {
+		if !match(k) {
+			continue
 		}
-	})
+		for len(union) < len(c.senders) {
+			union = append(union, 0)
+		}
+		for i, b := range c.senders {
+			union[i] |= b
+		}
+	}
 	total := 0
 	for _, b := range union {
 		total += bits.OnesCount64(b)
@@ -1478,15 +1258,13 @@ func (w *Network) SendersMatching(match func(kind string) bool) int {
 // counters are kept and zeroed in place, so the measurement phase does
 // not re-allocate them.
 func (w *Network) ResetTraffic() {
-	w.eachLane(func(ls *laneState) {
-		ls.ctrlBytes, ls.dataBytes, ls.lost = 0, 0, 0
-		for _, c := range ls.kinds {
-			c.tx, c.bytes = 0, 0
-			for i := range c.senders {
-				c.senders[i] = 0
-			}
+	w.ctrlBytes, w.dataBytes, w.lost = 0, 0, 0
+	for _, c := range w.kinds {
+		c.tx, c.bytes = 0, 0
+		for i := range c.senders {
+			c.senders[i] = 0
 		}
-	})
+	}
 	for _, n := range w.nodes {
 		n.TxPackets, n.TxBytes, n.ForwardLoad = 0, 0, 0
 	}

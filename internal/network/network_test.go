@@ -303,8 +303,6 @@ func newLinearMover(p geom.Point, v geom.Vector) *linearMover {
 	return &linearMover{p0: p, v: v}
 }
 
-func (m *linearMover) Advance(float64)   {}
-func (m *linearMover) PieceEnd() float64 { return math.Inf(1) }
 func (m *linearMover) TrueFix(now float64) gps.Fix {
 	return gps.Fix{Pos: m.p0.Add(m.v.Scale(now)), Vel: m.v}
 }

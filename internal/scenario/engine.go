@@ -65,8 +65,8 @@ type ScriptResult struct {
 	AudiencePeak, AudienceOpen int
 	// DelaySamples is how many deliveries the delay histogram absorbed
 	// (always equal to Delivered), and DelayDigest its full-state
-	// fingerprint — the scengen harness asserts both are rerun-,
-	// worker-, and shard-count-invariant.
+	// fingerprint — the scengen harness asserts both are rerun- and
+	// worker-count-invariant.
 	DelaySamples int
 	DelayDigest  uint64
 }

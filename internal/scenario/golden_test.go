@@ -36,7 +36,7 @@ func lockSpec() Spec {
 // event) and member churn.
 func mixScript() *Script {
 	return &Script{
-		Name: "shard-mix",
+		Name: "shard-mix", // part of the fingerprint: renaming it moves the golden
 		Directives: []Directive{
 			{Kind: KindTraffic, At: 0, Group: 0, Pattern: PatternCBR, Count: 1, Packets: 12, Interval: 0.5, Payload: 256, Duration: 8},
 			{Kind: KindMemberChurn, At: 2, Group: 0, Count: 1, Period: 1, Duration: 3},

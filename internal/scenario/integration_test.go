@@ -20,8 +20,6 @@ type slowMover struct {
 	vel  geom.Vector
 }
 
-func (m *slowMover) Advance(float64)   {}
-func (m *slowMover) PieceEnd() float64 { return math.Inf(1) }
 func (m *slowMover) TrueFix(now float64) gps.Fix {
 	return gps.Fix{Pos: m.from.Add(m.vel.Scale(now)), Vel: m.vel}
 }

@@ -17,7 +17,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/des"
 	"repro/internal/geom"
-	"repro/internal/georoute"
 	"repro/internal/gps"
 	"repro/internal/logicalid"
 	"repro/internal/membership"
@@ -72,14 +71,6 @@ type Spec struct {
 	// dev per axis) to every node's receiver; 0 keeps the paper's
 	// oracle-GPS assumption.
 	GPSError float64
-	// Shards > 1 runs the world on the sharded event kernel: the arena
-	// is partitioned into Shards spatial stripes and confined relay
-	// deliveries execute on per-shard worker lanes under conservative
-	// lookahead windows (des.Sharded). Results are bit-identical at any
-	// shard count; 0 and 1 mean the plain serial kernel. When the world
-	// cannot hold the sharding contract (e.g. tracing enabled), Build
-	// falls back to serial and records the reason in World.ShardNote.
-	Shards int
 }
 
 // DefaultSpec is the Figure 2 configuration with a modest mobile
@@ -114,14 +105,6 @@ type World struct {
 	BB     *core.Backbone
 	MS     *membership.Service
 	MC     *multicast.Service
-
-	// Eng is the sharded event kernel, non-nil when Spec.Shards > 1 and
-	// sharding engaged; drive the world through World.RunUntil so lane
-	// events execute. ShardNote records why sharding was declined when
-	// it was requested but could not engage (the world then runs
-	// serially, with identical results).
-	Eng       *des.Sharded
-	ShardNote string
 
 	Rng *xrand.Rand
 	// Members lists the member nodes of each group.
@@ -204,44 +187,11 @@ func Build(spec Spec) (*World, error) {
 		}
 	}
 	w.CM.Elect()
-	w.enableSharding()
 	return w, nil
 }
 
-// enableSharding engages the sharded kernel when the spec asks for it.
-// It runs after the whole stack is wired: every node (and hence the
-// radio grain, which becomes the conservative lookahead) is known, and
-// the georoute router is already listening for OnShard. Failure to
-// engage is not an error — the serial kernel produces identical
-// results — so it only leaves a note.
-func (w *World) enableSharding() {
-	if w.Spec.Shards <= 1 {
-		return
-	}
-	g := w.Net.Grain()
-	if g <= 0 {
-		w.ShardNote = "no radio delay quantum to derive a lookahead from"
-		return
-	}
-	eng := des.NewSharded(w.Sim, w.Spec.Shards, des.Duration(g))
-	if err := w.Net.EnableSharding(eng, georoute.KindPrefix); err != nil {
-		w.ShardNote = err.Error()
-		return
-	}
-	w.Eng = eng
-}
-
-// RunUntil advances the world to simulated time t: through the sharded
-// engine when one is engaged (so shard-lane events execute), else the
-// plain simulator. All world-level drivers (WarmUp, RunScript, the
-// experiment harness) go through here.
-func (w *World) RunUntil(t des.Time) {
-	if w.Eng != nil {
-		w.Eng.RunUntil(t)
-		return
-	}
-	w.Sim.RunUntil(t)
-}
+// RunUntil advances the world's simulator to simulated time t.
+func (w *World) RunUntil(t des.Time) { w.Sim.RunUntil(t) }
 
 func (w *World) buildMobility(arena geom.Rect) mobility.Model {
 	s := w.Spec

@@ -28,11 +28,6 @@ type CheckConfig struct {
 	// serial second pass must reproduce it byte-identically regardless.
 	// Zero means 4, matching the experiment determinism sweep.
 	Workers int
-	// Shards lists the sharded-kernel configurations whose results must
-	// reproduce the serial run byte-identically (the shards invariant);
-	// empty skips the shard checks. Entries of 1 are redundant (the
-	// serial pass is the reference) but harmless.
-	Shards []int
 }
 
 // DefaultCheckConfig is the smoke-tier configuration: a small
@@ -43,7 +38,7 @@ func DefaultCheckConfig() CheckConfig {
 	spec.Nodes = 60
 	spec.MembersPerGroup = 10
 	spec.LossProb = 0.05
-	return CheckConfig{Spec: spec, Warmup: 10, Arms: []string{"hvdb"}, Workers: 4, Shards: []int{2, 4}}
+	return CheckConfig{Spec: spec, Warmup: 10, Arms: []string{"hvdb"}, Workers: 4}
 }
 
 // Invariant names reported in Violations.
@@ -61,12 +56,6 @@ const (
 	// InvTreeCache: the route cache must be observationally invisible —
 	// cache-on and cache-bypass runs must be byte-identical.
 	InvTreeCache = "treecache"
-	// InvShards: results must be independent of the shard count — a run
-	// on the sharded kernel (Spec.Shards > 1) must reproduce the serial
-	// run byte-identically, including the executed-event count; a world
-	// that silently declines sharding also violates (the check would be
-	// vacuous).
-	InvShards = "shards"
 	// InvPoolLeak: network.PooledInFlight() must be zero once the stack
 	// is stopped and the simulator drained.
 	InvPoolLeak = "poolleak"
@@ -78,7 +67,7 @@ const (
 	// the audience-map analogue of the pool-leak check) and the delay
 	// histogram absorbed exactly one observation per counted delivery
 	// (DelaySamples == Delivered). The histogram's full-state digest is
-	// part of the fingerprint, so its rerun/worker/shard invariance is
+	// part of the fingerprint, so its rerun/worker invariance is
 	// enforced by the fp comparisons of those invariants.
 	InvStream = "stream"
 )
@@ -125,9 +114,6 @@ type runOutcome struct {
 	inflight  int
 	statsErr  string
 	streamErr string
-	// shardNote is non-empty when the spec asked for sharding and the
-	// world fell back to serial (scenario.World.ShardNote).
-	shardNote string
 	err       error
 }
 
@@ -158,7 +144,6 @@ func runArm(spec scenario.Spec, arm string, sc *scenario.Script, warmup des.Dura
 		inflight:  w.Net.PooledInFlight(),
 		statsErr:  statsContract(res),
 		streamErr: streamContract(res),
-		shardNote: w.ShardNote,
 	}
 }
 
@@ -209,9 +194,8 @@ func statsContract(res *scenario.ScriptResult) string {
 // standing invariants: a concurrent first pass (Workers-wide, the
 // worker-count-independence probe), a serial rerun that must reproduce
 // each first-pass result byte-identically, a cache-bypass run on the
-// hvdb arm that must match the cached one, sharded-kernel runs at
-// every cfg.Shards count that must match the serial fingerprint, plus
-// the pool-leak and stats contracts on every run.
+// hvdb arm that must match the cached one, plus the pool-leak and
+// stats contracts on every run.
 func Check(cfg CheckConfig, sc *scenario.Script) *Report {
 	rep := &Report{Script: sc}
 	if err := sc.Validate(); err != nil {
@@ -273,40 +257,6 @@ func Check(cfg CheckConfig, sc *scenario.Script) *Report {
 			} else if byp.fp != out.fp {
 				rep.Violations = append(rep.Violations, Violation{InvTreeCache, arm,
 					fmt.Sprintf("route cache changed observable behavior:\n  cached:   %s\n  bypassed: %s", out.fp, byp.fp)})
-			}
-		}
-		// Shards invariant: the same script on the sharded kernel must
-		// reproduce the serial fingerprint byte-identically at every
-		// configured shard count. Only reached when the serial
-		// fingerprint is stable, so a mismatch here implicates the
-		// kernel, not run-to-run noise.
-		for _, k := range cfg.Shards {
-			if k <= 1 {
-				continue
-			}
-			sspec := cfg.Spec
-			sspec.Shards = k
-			sh := runArm(sspec, arm, sc, cfg.Warmup, false)
-			if sh.err != nil {
-				rep.Violations = append(rep.Violations, Violation{InvRun, arm, sh.err.Error()})
-				continue
-			}
-			if sh.shardNote != "" {
-				rep.Violations = append(rep.Violations, Violation{InvShards, arm,
-					fmt.Sprintf("world declined shards=%d (check would be vacuous): %s", k, sh.shardNote)})
-				continue
-			}
-			if sh.fp != out.fp {
-				// A second sharded run arbitrates: if it reproduces the
-				// first, the divergence is a stable function of the shard
-				// count; otherwise the sharded run itself is flaky.
-				again := runArm(sspec, arm, sc, cfg.Warmup, false)
-				inv := InvShards
-				if again.fp != sh.fp {
-					inv = InvRerun
-				}
-				rep.Violations = append(rep.Violations, Violation{inv, arm,
-					fmt.Sprintf("shards=%d diverged from serial:\n  serial:    %s\n  shards=%d: %s", k, out.fp, k, sh.fp)})
 			}
 		}
 	}

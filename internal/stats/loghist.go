@@ -181,7 +181,7 @@ func (h *LogHist) Merge(o *LogHist) {
 // and every occupied bin) into one FNV-1a hash. Two runs that fold the
 // same observations in the same order fingerprint identically; the
 // scengen harness uses this to assert the streaming-metrics pipeline
-// is rerun-, worker-, and shard-count-invariant.
+// is rerun- and worker-count-invariant.
 func (h *LogHist) Fingerprint() uint64 {
 	const (
 		offset = 14695981039346656037
