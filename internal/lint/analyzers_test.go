@@ -46,27 +46,6 @@ func TestPoolPairGolden(t *testing.T) {
 		filepath.Join("testdata", "poolpair"), lint.PoolPair)
 }
 
-func TestShardSafeGolden(t *testing.T) {
-	linttest.Run(t, "repro/internal/testdata/shardsafe",
-		filepath.Join("testdata", "shardsafe"), lint.ShardSafe)
-}
-
-// TestShardSafeSkipsUnshardedPackages loads the same corpus under a
-// package path that never executes inside a parallel window: nothing
-// may be reported.
-func TestShardSafeSkipsUnshardedPackages(t *testing.T) {
-	pkg, err := lint.LoadDir("repro/internal/protocol", filepath.Join("testdata", "shardsafe"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := lint.Analyze([]*lint.Package{pkg}, lint.ShardSafe)
-	for _, d := range res.Diags {
-		if d.Analyzer == "shardsafe" {
-			t.Errorf("shardsafe fired outside a shard-tagged package: %s", d)
-		}
-	}
-}
-
 // TestAnalyzersHaveDistinctKeys guards the annotation namespace: the
 // suppression matcher routes by key, so two analyzers sharing one
 // would let an exemption for one silence the other.

@@ -16,19 +16,11 @@ import (
 // diagnostics honest:
 //
 //   - method calls resolve only on concrete receiver types (interface
-//     dispatch has no static target, so no edge — the sharded kernel's
-//     handler chains all carry their lane state in concrete signatures,
-//     which is what lane-root detection keys on);
+//     dispatch has no static target, so no edge);
 //   - function literals are tracked where they matter: one containment
-//     edge from the enclosing function, plus lane-entry marking when
-//     the literal (or a named function value) is handed to
-//     ScheduleLaneDirect / LogIntent, and deferred-argument tracking
+//     edge from the enclosing function, plus deferred-argument tracking
 //     through the ScheduleCall* family so a packet scheduled into a
-//     callback is attributed to that callback's parameter;
-//   - the des kernel itself is a traversal boundary: its scheduler and
-//     mailbox internals mutate engine state by design, and the
-//     discipline the analyzers enforce is about code *using* the
-//     kernel, not the kernel.
+//     callback is attributed to that callback's parameter.
 //
 // Facts are position-addressed with plain file:line:col (Site), not
 // token.Pos, so a package's facts serialize into the summary cache and
@@ -41,8 +33,6 @@ type Site struct {
 	Col  int    `json:"col"`
 }
 
-func (s Site) valid() bool { return s.File != "" && s.Line > 0 }
-
 func siteOf(fset *token.FileSet, pos token.Pos) Site {
 	p := fset.Position(pos)
 	return Site{File: p.Filename, Line: p.Line, Col: p.Column}
@@ -52,14 +42,6 @@ func siteOf(fset *token.FileSet, pos token.Pos) Site {
 // "pkg/path.Func", "pkg/path.(Recv).Method", or
 // "pkg/path.$file:line:col" for a function literal.
 type FuncID string
-
-// A HubWrite is one direct write to shared hub state or a
-// package-level variable — the facts shardsafe combines with lane
-// reachability.
-type HubWrite struct {
-	Site Site   `json:"site"`
-	What string `json:"what"` // rendered description of the written object
-}
 
 // A ParamPass records that a parameter flows, unmodified, into a
 // callee's parameter — the edge poolpair's consume propagation walks.
@@ -81,58 +63,30 @@ type ParamFact struct {
 // A CallFact is one resolved outgoing edge.
 type CallFact struct {
 	Callee FuncID `json:"callee"`
-	Name   string `json:"name"` // callee display name, for call-path rendering
-	Site   Site   `json:"site"`
-	// Lane marks an edge that *enters* lane context regardless of the
-	// caller's own context: a function value or literal handed to
-	// ScheduleLaneDirect or LogIntent executes on a lane.
-	Lane bool `json:"lane,omitempty"`
-	// Deferred marks a function value handed to the serial ScheduleCall*
-	// family: it runs later on the serial loop, so lane reachability
-	// must NOT flow through this edge (the argument handoff still does,
-	// via ParamPass).
-	Deferred bool `json:"deferred,omitempty"`
 }
 
 // A FuncInfo is the complete per-function fact record.
 type FuncInfo struct {
-	ID   FuncID `json:"id"`
-	Name string `json:"name"` // display name, e.g. "network.(*Network).unicastLS"
-	Pkg  string `json:"pkg"`  // import path
-	Decl Site   `json:"decl"`
-	// LaneRoot: the signature carries a lane-state type (laneState /
-	// rlane / Lane declared in a sharded package), or the function is a
-	// literal scheduled onto a lane — either way its body executes in
-	// lane context.
-	LaneRoot  bool        `json:"lane_root,omitempty"`
-	HubWrites []HubWrite  `json:"hub_writes,omitempty"`
-	Sinks     []string    `json:"sinks,omitempty"` // direct ordering-sensitive sinks (maporder's one-level follow)
-	Params    []ParamFact `json:"params,omitempty"`
-	Calls     []CallFact  `json:"calls,omitempty"`
+	ID     FuncID      `json:"id"`
+	Name   string      `json:"name"` // display name, e.g. "network.(*Network).Unicast"
+	Pkg    string      `json:"pkg"`  // import path
+	Decl   Site        `json:"decl"`
+	Sinks  []string    `json:"sinks,omitempty"` // direct ordering-sensitive sinks (maporder's one-level follow)
+	Params []ParamFact `json:"params,omitempty"`
+	Calls  []CallFact  `json:"calls,omitempty"`
 }
 
 // scheduleArgFuncs maps the callback-taking scheduling entry points to
-// the positions of their (fn, arg) pair and whether the callback runs
-// on a lane. A value handed as `arg` reaches the callback's first
-// parameter; a callback handed to a lane scheduler becomes lane
-// context.
-var scheduleArgFuncs = map[string]struct {
-	fnIdx, argIdx int
-	lane          bool
-}{
-	"ScheduleCall":       {1, 2, false},
-	"ScheduleCallU":      {1, 2, false},
-	"ScheduleCallSeq":    {2, 3, false},
-	"ScheduleCallSeqU":   {2, 3, false},
-	"AfterCall":          {1, 2, false},
-	"AfterCallU":         {1, 2, false},
-	"ScheduleLaneDirect": {2, 3, true},
-	"LogIntent":          {3, 4, true},
+// the positions of their (fn, arg) pair. A value handed as `arg`
+// reaches the callback's first parameter.
+var scheduleArgFuncs = map[string]struct{ fnIdx, argIdx int }{
+	"ScheduleCall":     {1, 2},
+	"ScheduleCallU":    {1, 2},
+	"ScheduleCallSeq":  {2, 3},
+	"ScheduleCallSeqU": {2, 3},
+	"AfterCall":        {1, 2},
+	"AfterCallU":       {1, 2},
 }
-
-// kernelPackage reports whether path is the des kernel — the trusted
-// runtime the lane-reachability traversal does not descend into.
-func kernelPackage(path string) bool { return strings.HasSuffix(path, "internal/des") }
 
 // funcIDOf derives the stable id of a declared function or method.
 func funcIDOf(obj *types.Func) FuncID {
@@ -156,7 +110,7 @@ func recvTypeName(t types.Type) string {
 	return t.String()
 }
 
-// displayNameOf renders the short human name used in call paths:
+// displayNameOf renders the short human name used in diagnostics:
 // "pkgname.(*Recv).Method" / "pkgname.Func".
 func displayNameOf(obj *types.Func) string {
 	pkg := ""
@@ -231,11 +185,10 @@ func moduleLocal(pkgPath string, callee *types.Func) bool {
 
 // extractPackage walks one type-checked package and produces its
 // function facts. The walk mirrors the intraprocedural analyzers'
-// classification rules exactly — hub/global writes (shardsafe),
-// parameter release/handoff fates (poolpair), ordering-sensitive sinks
-// (maporder) — but records them as facts instead of diagnostics;
-// summary.go decides which become reportable once reachability and
-// consume bits are propagated.
+// classification rules exactly — parameter release/handoff fates
+// (poolpair), ordering-sensitive sinks (maporder) — but records them as
+// facts instead of diagnostics; summary.go decides which become
+// reportable once consume bits are propagated.
 func extractPackage(pkg *Package) []*FuncInfo {
 	ex := &extractor{pkg: pkg}
 	for _, f := range pkg.Files {
@@ -249,11 +202,10 @@ func extractPackage(pkg *Package) []*FuncInfo {
 				continue
 			}
 			fi := &FuncInfo{
-				ID:       funcIDOf(obj),
-				Name:     displayNameOf(obj),
-				Pkg:      pkg.Types.Path(),
-				Decl:     siteOf(pkg.Fset, fd.Name.Pos()),
-				LaneRoot: laneSignature(pkg.Info, fd.Recv, fd.Type.Params),
+				ID:   funcIDOf(obj),
+				Name: displayNameOf(obj),
+				Pkg:  pkg.Types.Path(),
+				Decl: siteOf(pkg.Fset, fd.Name.Pos()),
 			}
 			ex.paramObjs(fi, fd.Type.Params)
 			ex.walkBody(fi, fd.Body, paramIndexMap(pkg.Info, fd.Type.Params))
@@ -311,79 +263,35 @@ func paramIndexMap(info *types.Info, params *ast.FieldList) map[types.Object]int
 	return out
 }
 
-// laneSignature reports whether a receiver or parameter list carries a
-// lane-state type declared in a sharded package.
-func laneSignature(info *types.Info, recv, params *ast.FieldList) bool {
-	check := func(list *ast.FieldList) bool {
-		if list == nil {
-			return false
-		}
-		for _, field := range list.List {
-			if isLaneStateType(info.TypeOf(field.Type)) {
-				return true
-			}
-		}
-		return false
-	}
-	return check(recv) || check(params)
-}
-
 // walkBody extracts facts from one function body. Function literals
 // get their own FuncInfo plus a containment edge from the enclosing
 // function; everything else lands on fi. paramIdx maps the function's
 // own parameter objects to their indices in fi.Params.
 func (ex *extractor) walkBody(fi *FuncInfo, body *ast.BlockStmt, paramIdx map[types.Object]int) {
-	var stack []ast.Node
-	// lits maps literals to the flags their scheduling context implies,
-	// filled when the enclosing CallExpr is visited (pre-order, so
-	// before the literal itself).
-	type litFlags struct{ lane, deferred bool }
-	lits := map[*ast.FuncLit]litFlags{}
-
 	ast.Inspect(body, func(n ast.Node) bool {
-		if n == nil {
-			stack = stack[:len(stack)-1]
-			return true
-		}
-		stack = append(stack, n)
 		switch v := n.(type) {
 		case *ast.FuncLit:
 			litID := litFuncID(fi.Pkg, ex.pkg.Fset, v.Pos())
-			flags := lits[v]
 			li := &FuncInfo{
-				ID:       litID,
-				Name:     fi.Name + "$func",
-				Pkg:      fi.Pkg,
-				Decl:     siteOf(ex.pkg.Fset, v.Pos()),
-				LaneRoot: flags.lane || laneSignature(ex.pkg.Info, nil, v.Type.Params),
+				ID:   litID,
+				Name: fi.Name + "$func",
+				Pkg:  fi.Pkg,
+				Decl: siteOf(ex.pkg.Fset, v.Pos()),
 			}
 			ex.paramObjs(li, v.Type.Params)
 			ex.walkBody(li, v.Body, paramIndexMap(ex.pkg.Info, v.Type.Params))
 			ex.out = append(ex.out, li)
-			fi.Calls = append(fi.Calls, CallFact{
-				Callee:   litID,
-				Name:     li.Name,
-				Site:     siteOf(ex.pkg.Fset, v.Pos()),
-				Lane:     flags.lane,
-				Deferred: flags.deferred,
-			})
+			fi.Calls = append(fi.Calls, CallFact{Callee: litID})
 			return false // literal body handled by the recursive walk
 		case *ast.CallExpr:
-			ex.call(fi, v, paramIdx, func(lit *ast.FuncLit, lane, deferred bool) {
-				lits[lit] = litFlags{lane, deferred}
-			})
+			ex.call(fi, v, paramIdx)
 		case *ast.AssignStmt:
-			for _, lhs := range v.Lhs {
-				ex.hubWrite(fi, lhs)
-			}
 			for _, rhs := range v.Rhs {
 				// Storing a parameter into anything is a handoff.
 				if i, ok := paramUse(ex.pkg.Info, rhs, paramIdx); ok {
 					fi.Params[i].HandedOff = true
 				}
 			}
-		case *ast.IncDecStmt:
-			ex.hubWrite(fi, v.X)
 		case *ast.ReturnStmt:
 			for _, res := range v.Results {
 				if i, ok := paramUse(ex.pkg.Info, res, paramIdx); ok {
@@ -418,7 +326,7 @@ func (ex *extractor) walkBody(fi *FuncInfo, body *ast.BlockStmt, paramIdx map[ty
 // call records the facts of one call expression: the static edge, the
 // parameter passes, schedule-callback tracking, and direct ordered
 // sinks.
-func (ex *extractor) call(fi *FuncInfo, call *ast.CallExpr, paramIdx map[types.Object]int, markLit func(*ast.FuncLit, bool, bool)) {
+func (ex *extractor) call(fi *FuncInfo, call *ast.CallExpr, paramIdx map[types.Object]int) {
 	info := ex.pkg.Info
 	name := calleeName(call)
 
@@ -432,29 +340,20 @@ func (ex *extractor) call(fi *FuncInfo, call *ast.CallExpr, paramIdx map[types.O
 		fi.Sinks = append(fi.Sinks, fmt.Sprintf("%s on a stats accumulator folds a float sum, order-sensitive in the last ulp", name))
 	}
 
-	// Schedule-callback tracking: fn and arg positions.
+	// Schedule-callback tracking: fn and arg positions. A literal
+	// callback gets its containment edge when the walk reaches it; its
+	// arg handoff is resolved by poolpair directly, so the pass is
+	// recorded here for declared-function callbacks only.
 	if sched, ok := scheduleArgFuncs[name]; ok && len(call.Args) > sched.argIdx {
 		fnExpr := call.Args[sched.fnIdx]
-		if lit, ok := fnExpr.(*ast.FuncLit); ok {
-			markLit(lit, sched.lane, !sched.lane)
-			// The containment edge created at the literal's visit carries
-			// the flags; the arg handoff resolves against the literal's id
-			// below via litArgPass (handled in poolpair directly — here
-			// record the pass for declared-function callbacks only).
-		} else if fn := resolveFuncExpr(info, fnExpr); fn != nil && moduleLocal(fi.Pkg, fn) {
-			fi.Calls = append(fi.Calls, CallFact{
-				Callee:   funcIDOf(fn),
-				Name:     displayNameOf(fn),
-				Site:     siteOf(ex.pkg.Fset, call.Pos()),
-				Lane:     sched.lane,
-				Deferred: !sched.lane,
-			})
-			if i, ok := paramUse(info, call.Args[sched.argIdx], paramIdx); ok {
-				fi.Params[i].PassedTo = append(fi.Params[i].PassedTo, ParamPass{Callee: funcIDOf(fn), Param: 0})
-			}
-		} else {
-			// Unresolvable callback: the arg handoff is conservative.
-			if i, ok := paramUse(info, call.Args[sched.argIdx], paramIdx); ok {
+		if _, lit := fnExpr.(*ast.FuncLit); !lit {
+			if fn := resolveFuncExpr(info, fnExpr); fn != nil && moduleLocal(fi.Pkg, fn) {
+				fi.Calls = append(fi.Calls, CallFact{Callee: funcIDOf(fn)})
+				if i, ok := paramUse(info, call.Args[sched.argIdx], paramIdx); ok {
+					fi.Params[i].PassedTo = append(fi.Params[i].PassedTo, ParamPass{Callee: funcIDOf(fn), Param: 0})
+				}
+			} else if i, ok := paramUse(info, call.Args[sched.argIdx], paramIdx); ok {
+				// Unresolvable callback: the arg handoff is conservative.
 				fi.Params[i].HandedOff = true
 			}
 		}
@@ -462,11 +361,7 @@ func (ex *extractor) call(fi *FuncInfo, call *ast.CallExpr, paramIdx map[types.O
 
 	callee := resolveCallee(info, call)
 	if callee != nil && moduleLocal(fi.Pkg, callee) {
-		fi.Calls = append(fi.Calls, CallFact{
-			Callee: funcIDOf(callee),
-			Name:   displayNameOf(callee),
-			Site:   siteOf(ex.pkg.Fset, call.Pos()),
-		})
+		fi.Calls = append(fi.Calls, CallFact{Callee: funcIDOf(callee)})
 	}
 
 	// Parameter passes through ordinary argument positions.
@@ -491,32 +386,6 @@ func (ex *extractor) call(fi *FuncInfo, call *ast.CallExpr, paramIdx map[types.O
 			continue
 		}
 		fi.Params[i].PassedTo = append(fi.Params[i].PassedTo, ParamPass{Callee: funcIDOf(callee), Param: argPos})
-	}
-}
-
-// hubWrite records a write through a hub-typed root or to a
-// package-level variable.
-func (ex *extractor) hubWrite(fi *FuncInfo, expr ast.Expr) {
-	id := rootIdent(expr)
-	if id == nil {
-		return
-	}
-	obj := ex.pkg.Info.ObjectOf(id)
-	v, ok := obj.(*types.Var)
-	if !ok {
-		return
-	}
-	switch {
-	case v.Pkg() != nil && v.Parent() == v.Pkg().Scope():
-		fi.HubWrites = append(fi.HubWrites, HubWrite{
-			Site: siteOf(ex.pkg.Fset, expr.Pos()),
-			What: "package-level " + id.Name,
-		})
-	case expr != ast.Expr(id) && isHubType(v.Type()):
-		fi.HubWrites = append(fi.HubWrites, HubWrite{
-			Site: siteOf(ex.pkg.Fset, expr.Pos()),
-			What: fmt.Sprintf("shared %s state through %s", typeName(v.Type()), id.Name),
-		})
 	}
 }
 

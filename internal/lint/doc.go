@@ -1,17 +1,16 @@
 // Package lint is the repository's determinism-lint suite: a small,
-// dependency-free go/analysis-style framework plus four analyzers that
+// dependency-free go/analysis-style framework plus three analyzers that
 // make the map-order bug class — unordered map iteration leaking into
-// ordered simulation state — and its sharded-kernel sibling — lane
-// code writing shared hub state — compile-time errors instead of raced
-// rerun findings.
+// ordered simulation state — and its relatives compile-time errors
+// instead of rerun findings.
 //
 // The repository's two real protocol bugs to date were the same bug:
 // PR 3's transmission scheduling and PR 5's greedy-tree destination
 // lists both ranged a Go map and let the per-element effect escape into
 // something order-sensitive (a packet send draws from the sender's loss
 // stream; a greedy tree depends on destination order). The standing
-// contract — byte-identical tables at any worker or shard count — was
-// defended only dynamically. These analyzers defend it statically.
+// contract — byte-identical tables at any worker count — was defended
+// only dynamically. These analyzers defend it statically.
 //
 // # Analyzers
 //
@@ -44,32 +43,17 @@
 //     invariant PooledInFlight()==0 only fires at teardown; this
 //     catches the leak at the line that drops the reference.
 //
-//   - ShardSafe guards the sharded kernel's ownership discipline in
-//     the packages whose code runs on shard lanes (internal/des,
-//     internal/network, internal/georoute): a function in lane context
-//     — one taking per-lane state (*laneState, *rlane, *Lane) or a
-//     closure passed to ScheduleLaneDirect/LogIntent — must not write
-//     package-level variables or fields of the shared hub types
-//     (Network, Router, Simulator, Sharded, Mux). Such writes race
-//     across lane workers and, even when atomically safe, make results
-//     depend on lane interleaving. The check is transitive over the
-//     module's static call graph: a hub write anywhere reachable from
-//     lane context is flagged at the write with the full call path in
-//     the diagnostic. Writes through the lane-state parameters
-//     themselves are the sanctioned path.
-//
 // # Interprocedural engine
 //
 // The analyzers above see through helper calls via a summary-based
 // bottom-up engine (callgraph.go, summary.go): one extraction pass
-// records per-function facts — hub writes, ordered sinks, per-param
+// records per-function facts — ordered sinks, per-param
 // release/handoff behavior, outgoing calls including closures handed
-// to the kernel's scheduling surface — then consume bits and lane
-// reachability propagate over the call graph's SCC condensation
-// (fixed point inside cycles). Unresolvable callees (other modules,
-// interface methods) degrade conservatively: they consume their
-// arguments and contribute no lane path. Facts serialize, so each
-// package's extraction is cached (keyed by a content hash; override
+// to the kernel's scheduling surface — then consume bits propagate
+// over the call graph's SCC condensation (fixed point inside cycles).
+// Unresolvable callees (other modules, interface methods) degrade
+// conservatively: they consume their arguments. Facts serialize, so
+// each package's extraction is cached (keyed by a content hash; override
 // the location with HVDBLINT_CACHE) and warm runs skip straight to
 // propagation. MapOrder uses the same summaries to follow a loop body
 // one call deep into module-local helpers.
@@ -83,15 +67,11 @@
 //	//hvdb:unordered <reason>   (MapOrder)
 //	//hvdb:wallclock <reason>   (SeedSource)
 //	//hvdb:handoff <reason>     (PoolPair)
-//	//hvdb:serialonly <reason>  (ShardSafe)
 //
 // The reason is mandatory: a bare annotation is itself a diagnostic,
 // so every exemption in the tree documents why it is safe. Annotations
 // are deliberately line-scoped — there is no file- or package-wide
-// opt-out — because the bug class is per-loop, not per-file. A
-// diagnostic reported through the call graph is additionally covered
-// by an annotation at any call site on its path, so one annotation on
-// a lane-entry edge can cover every write it proves serial.
+// opt-out — because the bug class is per-loop, not per-file.
 //
 // # Driver
 //

@@ -35,7 +35,7 @@ type Pass struct {
 	Pkg      *types.Package
 	Info     *types.Info
 	// Module is the propagated interprocedural state for the whole
-	// Load — call graph, consume bits, lane reachability.
+	// Load — call graph and consume bits.
 	Module *Module
 
 	diags []Diagnostic
@@ -53,24 +53,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// ReportSitef records a diagnostic at a serialized Site (interprocedural
-// facts carry positions as Sites, not token.Pos, so they survive the
-// summary cache). path renders into the diagnostic's CallPath; sites
-// are the call sites along it — a suppression annotation at any of
-// them (the lane-entry edge, an intermediate hop) covers the
-// diagnostic exactly as one at the reported position does.
-func (p *Pass) ReportSitef(site Site, path []string, sites []Site, format string, args ...any) {
-	p.diags = append(p.diags, Diagnostic{
-		File:     site.File,
-		Line:     site.Line,
-		Col:      site.Col,
-		Analyzer: p.Analyzer.Name,
-		Message:  fmt.Sprintf(format, args...),
-		CallPath: RenderPath(path),
-		altSites: sites,
-	})
-}
-
 // A Diagnostic is one finding, positioned for editors (file:line:col).
 type Diagnostic struct {
 	File     string `json:"file"`
@@ -82,22 +64,10 @@ type Diagnostic struct {
 	// covers the line; Reason is the annotation's text.
 	Suppressed bool   `json:"suppressed,omitempty"`
 	Reason     string `json:"reason,omitempty"`
-	// CallPath renders the interprocedural route to the flagged site
-	// ("pkg.Root → pkg.helper → pkg.leaf") when an analyzer reported
-	// through the call graph.
-	CallPath string `json:"call_path,omitempty"`
-
-	// altSites are the call sites along CallPath; a suppression at any
-	// of them also covers this diagnostic.
-	altSites []Site
 }
 
 func (d Diagnostic) String() string {
-	s := fmt.Sprintf("%s:%d:%d: %s: %s", d.File, d.Line, d.Col, d.Analyzer, d.Message)
-	if d.CallPath != "" {
-		s += " [" + d.CallPath + "]"
-	}
-	return s
+	return fmt.Sprintf("%s:%d:%d: %s: %s", d.File, d.Line, d.Col, d.Analyzer, d.Message)
 }
 
 // A Result is the outcome of Analyze: Diags must be empty for the tree
@@ -129,7 +99,7 @@ type Timing struct {
 
 // Analyzers returns the full determinism suite in stable order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{MapOrder, SeedSource, PoolPair, ShardSafe}
+	return []*Analyzer{MapOrder, SeedSource, PoolPair}
 }
 
 // annotationPrefix introduces a suppression comment. The key follows
@@ -175,13 +145,9 @@ func parseSuppressions(fset *token.FileSet, f *ast.File) []*suppression {
 }
 
 // Analyze runs the analyzers over the packages and resolves
-// suppression annotations. Suppressions are collected module-wide
-// before any analyzer runs: an interprocedural diagnostic reported in
-// one package can be covered by an annotation on a call site in
-// another (the lane-entry edge). A suppression at line L covers
-// matching diagnostics at line L (trailing comment) and line L+1
-// (comment alone above the flagged statement), at either the reported
-// position or any call site on the diagnostic's path.
+// suppression annotations. A suppression at line L covers matching
+// diagnostics at line L (trailing comment) and line L+1 (comment alone
+// above the flagged statement).
 func Analyze(pkgs []*Package, analyzers ...*Analyzer) *Result {
 	if len(analyzers) == 0 {
 		analyzers = Analyzers()
@@ -248,7 +214,7 @@ func Analyze(pkgs []*Package, analyzers ...*Analyzer) *Result {
 			res.Diags = append(res.Diags, Diagnostic{
 				File: pos.Filename, Line: pos.Line, Col: pos.Column,
 				Analyzer: "annotation",
-				Message:  fmt.Sprintf("unknown suppression key %q (known: unordered, wallclock, handoff, serialonly)", s.key),
+				Message:  fmt.Sprintf("unknown suppression key %q (known: unordered, wallclock, handoff)", s.key),
 			})
 		case !keys[s.key]:
 			// Belongs to an analyzer this run didn't select: usage
@@ -274,17 +240,9 @@ func Analyze(pkgs []*Package, analyzers ...*Analyzer) *Result {
 }
 
 func matchSuppression(sups []*suppression, key string, d Diagnostic) *suppression {
-	covers := func(s *suppression, file string, line int) bool {
-		return s.key == key && s.file == file && (s.line == line || s.line == line-1)
-	}
 	for _, s := range sups {
-		if covers(s, d.File, d.Line) {
+		if s.key == key && s.file == d.File && (s.line == d.Line || s.line == d.Line-1) {
 			return s
-		}
-		for _, alt := range d.altSites {
-			if alt.valid() && covers(s, alt.File, alt.Line) {
-				return s
-			}
 		}
 	}
 	return nil

@@ -61,12 +61,12 @@ func Run(t *testing.T, importPath, dir string, analyzers ...*lint.Analyzer) {
 	// an interprocedural analyzer attached one), so corpus cases can
 	// assert the path an engine diagnostic reports, not just its text.
 	for _, d := range res.Diags {
-		if !matchWant(wants, d.File, d.Line, matchText(d)) {
+		if !matchWant(wants, d.File, d.Line, d.Message) {
 			t.Errorf("unexpected diagnostic: %s", d)
 		}
 	}
 	for _, d := range res.Suppressed {
-		if matchWant(wants, d.File, d.Line, matchText(d)) {
+		if matchWant(wants, d.File, d.Line, d.Message) {
 			t.Errorf("suppressed diagnostic has a want comment (suppressed sites are clean): %s", d)
 		}
 	}
@@ -99,13 +99,6 @@ func parseWants(t *testing.T, pkg *lint.Package, c *ast.Comment) []*expectation 
 		out = append(out, &expectation{file: pos.Filename, line: pos.Line, pattern: re})
 	}
 	return out
-}
-
-func matchText(d lint.Diagnostic) string {
-	if d.CallPath != "" {
-		return d.Message + " [" + d.CallPath + "]"
-	}
-	return d.Message
 }
 
 func matchWant(wants []*expectation, file string, line int, msg string) bool {

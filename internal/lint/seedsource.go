@@ -12,8 +12,7 @@ import (
 // whose seed derives positionally from the run seed
 // (runner.DeriveSeed), and simulated time comes from the des clock —
 // otherwise a rerun with the same seed is not byte-identical, which
-// breaks the repository's standing determinism contract and would
-// surface as cross-shard merge divergence in the sharded-DES work.
+// breaks the repository's standing determinism contract.
 //
 // Flagged in simulation packages (repro and repro/internal/... except
 // xrand itself and the lint suite):

@@ -7,22 +7,14 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
-	"strings"
 	"time"
 )
 
 // summary.go turns the per-function facts of callgraph.go into the
-// propagated summaries the analyzers consume:
-//
-//   - consume bits: a parameter is *consumed* (released or handed off)
-//     either directly or transitively through the callees it is passed
-//     to, computed bottom-up over the SCC condensation with a fixed
-//     point inside each cycle;
-//   - lane reachability: every function reachable from a lane root
-//     (without crossing a Deferred edge or descending into the des
-//     kernel) carries a deterministic shortest call path back to its
-//     root, which shardsafe renders into diagnostics.
+// propagated summaries the analyzers consume: consume bits. A
+// parameter is *consumed* (released or handed off) either directly or
+// transitively through the callees it is passed to, computed bottom-up
+// over the SCC condensation with a fixed point inside each cycle.
 //
 // Extraction facts — everything callgraph.go records, nothing derived —
 // are cached per package as JSON keyed by a content hash of the
@@ -32,7 +24,7 @@ import (
 
 // summaryEngineVersion participates in the cache key; bump it whenever
 // extraction semantics change so old fact files are ignored.
-const summaryEngineVersion = "hvdblint-summary-v1"
+const summaryEngineVersion = "hvdblint-summary-v2"
 
 // summaryCacheDir overrides the cache location; empty means
 // $HVDBLINT_CACHE or the user cache dir. Tests point it at t.TempDir().
@@ -50,21 +42,11 @@ type Module struct {
 	// in messages).
 	released map[FuncID][]bool
 
-	// laneVia[id]: the predecessor edge on a shortest path from a lane
-	// root; laneRoot[id] is true for the roots themselves.
-	laneVia  map[FuncID]laneStep
-	laneRoot map[FuncID]bool
-
 	// Timing and cache accounting, surfaced by hvdblint -timing.
 	BuildTime  time.Duration
 	CacheHits  int
 	CacheMiss  int
 	CachedFrom string // resolved cache directory ("" if disabled)
-}
-
-type laneStep struct {
-	from FuncID
-	site Site
 }
 
 // BuildModule extracts (or loads cached) facts for every package and
@@ -97,7 +79,6 @@ func BuildModule(pkgs []*Package) *Module {
 		}
 	}
 	m.propagateConsume()
-	m.propagateLane()
 	m.BuildTime = time.Since(start)
 	return m
 }
@@ -162,95 +143,6 @@ func (m *Module) propagateConsume() {
 	}
 }
 
-// propagateLane runs a BFS from every lane root simultaneously,
-// recording for each reached function the predecessor edge of a
-// shortest path. Roots are visited in sorted order and successors in
-// recorded (source) order, so the chosen path is deterministic.
-// Deferred edges (serial ScheduleCall* callbacks) and the des kernel
-// are not traversed.
-func (m *Module) propagateLane() {
-	m.laneVia = map[FuncID]laneStep{}
-	m.laneRoot = map[FuncID]bool{}
-	var queue []FuncID
-	ids := make([]FuncID, 0, len(m.Funcs))
-	for id := range m.Funcs {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		if m.Funcs[id].LaneRoot {
-			m.laneRoot[id] = true
-			queue = append(queue, id)
-		}
-	}
-	// Lane-entry edges (fn handed to ScheduleLaneDirect/LogIntent) make
-	// their targets roots too, even when the caller is serial.
-	for _, id := range ids {
-		for _, c := range m.Funcs[id].Calls {
-			if c.Lane && !m.laneRoot[c.Callee] {
-				if _, ok := m.Funcs[c.Callee]; ok {
-					m.laneRoot[c.Callee] = true
-					queue = append(queue, c.Callee)
-				}
-			}
-		}
-	}
-	seen := map[FuncID]bool{}
-	for _, id := range queue {
-		seen[id] = true
-	}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		for _, c := range m.Funcs[cur].Calls {
-			if c.Deferred {
-				continue // serial callback: leaves lane context
-			}
-			callee, ok := m.Funcs[c.Callee]
-			if !ok || seen[c.Callee] {
-				continue
-			}
-			if kernelPackage(callee.Pkg) {
-				// Calls into the des kernel (LogIntent, the lane push
-				// path) are the sanctioned mailboxes; the kernel's own
-				// hub mutations are its contract, not a lane violation.
-				// Kernel lane roots are still checked — they enter the
-				// BFS as roots, not through this edge.
-				continue
-			}
-			seen[c.Callee] = true
-			m.laneVia[c.Callee] = laneStep{from: cur, site: c.Site}
-			queue = append(queue, c.Callee)
-		}
-	}
-}
-
-// LaneReachable reports whether id executes in lane context.
-func (m *Module) LaneReachable(id FuncID) bool {
-	if m.laneRoot[id] {
-		return true
-	}
-	_, ok := m.laneVia[id]
-	return ok
-}
-
-// LanePath returns the shortest call path from a lane root to id as
-// display names (root first, id last) plus the call sites along it
-// (one per edge). A root returns just its own name and no sites.
-func (m *Module) LanePath(id FuncID) (names []string, sites []Site) {
-	for !m.laneRoot[id] {
-		step, ok := m.laneVia[id]
-		if !ok {
-			return nil, nil
-		}
-		names = append([]string{m.Funcs[id].Name}, names...)
-		sites = append([]Site{step.site}, sites...)
-		id = step.from
-	}
-	names = append([]string{m.Funcs[id].Name}, names...)
-	return names, sites
-}
-
 // Consumes reports whether callee id transitively releases or hands
 // off its param'th parameter. Unknown ids are conservatively consuming
 // (matches the old intraprocedural assumption for unresolvable calls).
@@ -275,9 +167,6 @@ func (m *Module) Releases(id FuncID, param int) bool {
 
 // Func returns the fact record for id, or nil.
 func (m *Module) Func(id FuncID) *FuncInfo { return m.Funcs[id] }
-
-// RenderPath joins a LanePath name list into the diagnostic form.
-func RenderPath(names []string) string { return strings.Join(names, " → ") }
 
 // --- fact cache -------------------------------------------------------
 
