@@ -60,11 +60,6 @@ type ParamFact struct {
 	PassedTo  []ParamPass `json:"passed_to,omitempty"`
 }
 
-// A CallFact is one resolved outgoing edge.
-type CallFact struct {
-	Callee FuncID `json:"callee"`
-}
-
 // A FuncInfo is the complete per-function fact record.
 type FuncInfo struct {
 	ID     FuncID      `json:"id"`
@@ -73,7 +68,7 @@ type FuncInfo struct {
 	Decl   Site        `json:"decl"`
 	Sinks  []string    `json:"sinks,omitempty"` // direct ordering-sensitive sinks (maporder's one-level follow)
 	Params []ParamFact `json:"params,omitempty"`
-	Calls  []CallFact  `json:"calls,omitempty"`
+	Calls  []FuncID    `json:"calls,omitempty"` // resolved outgoing edges
 }
 
 // scheduleArgFuncs maps the callback-taking scheduling entry points to
@@ -281,7 +276,7 @@ func (ex *extractor) walkBody(fi *FuncInfo, body *ast.BlockStmt, paramIdx map[ty
 			ex.paramObjs(li, v.Type.Params)
 			ex.walkBody(li, v.Body, paramIndexMap(ex.pkg.Info, v.Type.Params))
 			ex.out = append(ex.out, li)
-			fi.Calls = append(fi.Calls, CallFact{Callee: litID})
+			fi.Calls = append(fi.Calls, litID)
 			return false // literal body handled by the recursive walk
 		case *ast.CallExpr:
 			ex.call(fi, v, paramIdx)
@@ -348,7 +343,7 @@ func (ex *extractor) call(fi *FuncInfo, call *ast.CallExpr, paramIdx map[types.O
 		fnExpr := call.Args[sched.fnIdx]
 		if _, lit := fnExpr.(*ast.FuncLit); !lit {
 			if fn := resolveFuncExpr(info, fnExpr); fn != nil && moduleLocal(fi.Pkg, fn) {
-				fi.Calls = append(fi.Calls, CallFact{Callee: funcIDOf(fn)})
+				fi.Calls = append(fi.Calls, funcIDOf(fn))
 				if i, ok := paramUse(info, call.Args[sched.argIdx], paramIdx); ok {
 					fi.Params[i].PassedTo = append(fi.Params[i].PassedTo, ParamPass{Callee: funcIDOf(fn), Param: 0})
 				}
@@ -361,7 +356,7 @@ func (ex *extractor) call(fi *FuncInfo, call *ast.CallExpr, paramIdx map[types.O
 
 	callee := resolveCallee(info, call)
 	if callee != nil && moduleLocal(fi.Pkg, callee) {
-		fi.Calls = append(fi.Calls, CallFact{Callee: funcIDOf(callee)})
+		fi.Calls = append(fi.Calls, funcIDOf(callee))
 	}
 
 	// Parameter passes through ordinary argument positions.
@@ -481,8 +476,8 @@ func condense(funcs map[FuncID]*FuncInfo) [][]FuncID {
 		fi := funcs[id]
 		var out []FuncID
 		for _, c := range fi.Calls {
-			if _, ok := funcs[c.Callee]; ok {
-				out = append(out, c.Callee)
+			if _, ok := funcs[c]; ok {
+				out = append(out, c)
 			}
 		}
 		for _, p := range fi.Params {
