@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -173,4 +174,112 @@ func readGoldenRuns(t *testing.T) map[string]string {
 		t.Fatal(err)
 	}
 	return out
+}
+
+// TestShardCountByteIdentical keeps the execution-configuration
+// contract of the golden lock: the lossy mixed-directive world yields a
+// byte-identical fingerprint on fresh builds whether the host runs it on
+// one OS thread or on all of them. (The name predates the serial-only
+// kernel, when the configurations compared were shard counts.)
+func TestShardCountByteIdentical(t *testing.T) {
+	base := scriptFingerprint(t, lockSpec(), mixScript())
+	prev := runtime.GOMAXPROCS(1)
+	single := scriptFingerprint(t, lockSpec(), mixScript())
+	runtime.GOMAXPROCS(prev)
+	if single != base {
+		t.Fatalf("GOMAXPROCS=1 diverged from GOMAXPROCS=%d:\n  default: %s\n  single:  %s", prev, base, single)
+	}
+}
+
+// TestBroadcastStraddlesShardCorners checks the broadcast planes cover
+// the whole arena: after a beacon/hello window some node in each of the
+// four arena quadrants has received packets, control bytes were
+// charged, and a fresh build reproduces the byte ledger exactly.
+func TestBroadcastStraddlesShardCorners(t *testing.T) {
+	run := func() string {
+		spec := lockSpec()
+		spec.Nodes = 40
+		w, err := Build(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.Start()
+		w.RunUntil(15)
+		st := w.Net.Stats()
+		if st.ControlBytes == 0 {
+			t.Fatal("no control bytes after a beacon window")
+		}
+		c := w.Net.Arena().Center()
+		var heard [4]int
+		for _, n := range w.Net.Nodes() {
+			if n.RxPackets() == 0 {
+				continue
+			}
+			q, p := 0, n.TruePos()
+			if p.X >= c.X {
+				q |= 1
+			}
+			if p.Y >= c.Y {
+				q |= 2
+			}
+			heard[q]++
+		}
+		for q, k := range heard {
+			if k == 0 {
+				t.Fatalf("no receiver in arena quadrant %d: %v", q, heard)
+			}
+		}
+		return fmt.Sprintf("ctrl=%d data=%d lost=%d events=%d",
+			st.ControlBytes, st.DataBytes, st.Lost, w.Sim.Executed())
+	}
+	if a, b := run(), run(); a != b {
+		t.Fatalf("broadcast accounting not reproducible:\n  first:  %s\n  second: %s", a, b)
+	}
+}
+
+// TestPartitionHealMidWindow plays a partition that opens half a second
+// into a CBR stream and heals while packets are still in flight: no node
+// is down before the partition, the strip is down inside it, every
+// node is back after the heal, and the stream still delivers.
+func TestPartitionHealMidWindow(t *testing.T) {
+	w, err := Build(lockSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	stk, err := w.Protocol("hvdb")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stk.Start()
+	w.WarmUp(10)
+	down := func() int {
+		k := 0
+		for _, n := range w.Net.Nodes() {
+			if !n.Up() {
+				k++
+			}
+		}
+		return k
+	}
+	// healScript partitions [0.5, 2.0) after the script start.
+	start := w.Sim.Now()
+	var before, during, after int
+	w.Sim.Schedule(start+0.25, func() { before = down() })
+	w.Sim.Schedule(start+1.0, func() { during = down() })
+	w.Sim.Schedule(start+2.5, func() { after = down() })
+	res, err := w.RunScript(stk, healScript())
+	if err != nil {
+		t.Fatal(err)
+	}
+	stk.Stop()
+	w.RunUntil(w.Sim.Now() + 5) // drain
+	if n := w.Net.PooledInFlight(); n != 0 {
+		t.Fatalf("%d pooled packets leaked", n)
+	}
+	if before != 0 || during == 0 || after != 0 {
+		t.Fatalf("down nodes before/during/after partition = %d/%d/%d, want 0/>0/0", before, during, after)
+	}
+	if res.Delivered == 0 {
+		t.Fatalf("no deliveries across the partition: %+v", res)
+	}
 }
