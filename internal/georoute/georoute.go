@@ -101,9 +101,9 @@ type Router struct {
 	lastEnvIn  string
 	lastEnvOut string
 
-	// nbrBuf/nbrPos and gabBuf/gabPos are reused neighbor scratch
-	// buffers (IDs and parallel exact positions); forwarding decisions
-	// are not re-entrant, so one set suffices.
+	// nbrBuf/nbrPos and gabBuf/gabPos are gabrielNeighbors' reused
+	// neighbor scratch (IDs and parallel exact positions); forwarding
+	// decisions are not re-entrant, so one set suffices.
 	nbrBuf []network.NodeID
 	nbrPos []geom.Point
 	gabBuf []network.NodeID
@@ -260,8 +260,10 @@ func (r *Router) forward(n *network.Node, h *Header) bool {
 		return true
 	}
 	pos := n.TruePos()
-	// Anycast completion: nobody closer to the target.
-	next := r.bestGreedy(n, pos, h.Target)
+	// Anycast completion: nobody closer to the target. The final
+	// destination seeds the greedy query: a CH addressed at its own VC
+	// centre, once in range, narrows the search to a few cells.
+	next := r.net.GreedyNext(n.ID, h.Target, h.FinalDst)
 	if h.FinalDst == network.NoNode && next == network.NoNode && !h.Recovering {
 		r.consume(n, h)
 		return true
@@ -343,21 +345,6 @@ func (r *Router) drop(n *network.Node, h *Header, why string) {
 		r.tr.Eventf(trace.Routes, float64(r.net.Sim().Now()), "geo drop %s uid=%d at %d: %s", h.Inner.Kind, h.Inner.UID, n.ID, why)
 	}
 	r.releaseHeader(h)
-}
-
-// bestGreedy returns the neighbor strictly closer to the target than n
-// itself, minimizing remaining distance; NoNode when none (local
-// maximum). Distances compare squared — same winner, no square roots.
-func (r *Router) bestGreedy(n *network.Node, pos, target geom.Point) network.NodeID {
-	best := network.NoNode
-	bestD2 := pos.Dist2(target)
-	r.nbrBuf, r.nbrPos = r.net.NeighborsPos(n.ID, r.nbrBuf[:0], r.nbrPos[:0])
-	for i, id := range r.nbrBuf {
-		if d2 := r.nbrPos[i].Dist2(target); d2 < bestD2 {
-			best, bestD2 = id, d2
-		}
-	}
-	return best
 }
 
 // perimeterNext applies the right-hand rule on the Gabriel-planarized

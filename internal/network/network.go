@@ -26,21 +26,22 @@
 //     widens the scan radius by that half-cell slack, and re-checks
 //     candidates exactly. Static nodes — the anchor CH population —
 //     never refresh at all. Cell buckets carry each member's anchor
-//     position inline, so the prefilter is a sequential scan, and a
-//     one-entry memo replays repeated same-sender same-instant queries
-//     (a CH geo-routing one envelope per logical neighbor) without
-//     rescanning.
+//     position inline, so the prefilter is a sequential scan. The
+//     greedy next-hop query (GreedyNext) scans only the cells that can
+//     still hold a node closer to the target than the best so far, and
+//     skips candidates on their anchors before any mobility model runs.
 //   - The delivery path runs on dense per-node arrays (liveness,
 //     receive counters, handlers, plus the spatial SoA slice), never
 //     loading *Node structs, and per-node positions at the current
 //     instant are memoized, so a broadcast storm touching the same
 //     nodes at one timestamp advances each mobility model once.
-//   - A Broadcast schedules one pooled multi-receiver transmission
-//     event instead of one scheduler entry per neighbor; it expands at
-//     the batch's earliest delivery key with the reserved sequence
-//     numbers, so the pending-event set scales with transmissions, not
-//     transmissions x degree, while timestamps and tie-break order stay
-//     bit-identical to per-neighbor scheduling.
+//   - A Broadcast keeps one pending event per transmission: a pooled
+//     record holding its receivers sorted by their original delivery
+//     keys (time, reserved sequence number). Each execution delivers
+//     one receiver and re-schedules the record at the next receiver's
+//     key, so the pending-event set scales with transmissions, not
+//     transmissions x degree, while every delivery stays one executed
+//     event at exactly the key per-neighbor scheduling would give it.
 //   - Traffic accounting interns the packet kind: one map lookup per
 //     transmission into a counter struct (tx, bytes, sender bitset)
 //     behind a one-entry cache riding same-kind bursts. The Mux keeps
@@ -286,16 +287,11 @@ type Network struct {
 	// full spatialState spans two lines on its own.
 	exact []posMemo
 
-	// One-entry neighbor-query memo. Protocol bursts query the same
-	// sender repeatedly within one instant (a CH geo-routes one
-	// envelope per logical neighbor back to back); the memo replays
-	// the result as two appends instead of a grid scan. topoVer
-	// invalidates it on any index membership change.
-	nbrMemoID  NodeID
-	nbrMemoAt  des.Time
-	nbrMemoVer uint64
-	nbrMemoIDs []NodeID
-	nbrMemoPos []geom.Point
+	// nbrIDs/nbrPos are the neighbor scratch of Broadcast and
+	// NeighborsAppend (IDs and parallel exact positions); neither calls
+	// out while it reads them, so one set suffices.
+	nbrIDs []NodeID
+	nbrPos []geom.Point
 
 	// Aggregate accounting, interned by packet kind, with a one-entry
 	// cache riding the same-kind burstiness of protocol traffic.
@@ -319,10 +315,6 @@ type Network struct {
 	// arrays cost four misses at 10k-node scale. hot[id].up is the
 	// authoritative liveness flag (Node.Up reads it).
 	hot []nodeHot
-
-	// topoVer invalidates the neighbor memo on any index membership
-	// change (Fail/Recover and index maintenance).
-	topoVer uint64
 
 	nextUID uint64
 
@@ -419,13 +411,12 @@ func (k *kindCounter) setSender(id NodeID) {
 // simulator.
 func New(sim *des.Simulator, arena geom.Rect, rng *xrand.Rand) *Network {
 	w := &Network{
-		sim:       sim,
-		arena:     arena,
-		rng:       rng,
-		tracer:    trace.Nop,
-		cellSize:  radio.DefaultCH.Range,
-		kinds:     make(map[string]*kindCounter),
-		nbrMemoID: NoNode,
+		sim:      sim,
+		arena:    arena,
+		rng:      rng,
+		tracer:   trace.Nop,
+		cellSize: radio.DefaultCH.Range,
+		kinds:    make(map[string]*kindCounter),
 	}
 	w.deliverFn = w.runDelivery
 	w.sizeGrid()
@@ -608,7 +599,6 @@ func (w *Network) safeSpan(sp *spatialState) des.Duration {
 // indexInsert (re)computes the node's position, bucket, and deadline and
 // enters it into the index. The node must currently be outside the index.
 func (w *Network) indexInsert(id NodeID) {
-	w.topoVer++
 	n := w.nodes[id]
 	sp := &w.sp[id]
 	now := w.sim.Now()
@@ -628,7 +618,6 @@ func (w *Network) indexInsert(id NodeID) {
 
 // indexRemove takes the node out of its bucket and the refresh heap.
 func (w *Network) indexRemove(id NodeID) {
-	w.topoVer++
 	sp := &w.sp[id]
 	w.bucketRemove(sp.cell, id)
 	if sp.heapIdx >= 0 {
@@ -800,46 +789,42 @@ func (w *Network) Neighbors(id NodeID) []NodeID {
 // then checked against its exact current position, so results are exact
 // despite the index being refreshed lazily.
 func (w *Network) NeighborsAppend(id NodeID, out []NodeID) []NodeID {
-	out, _ = w.NeighborsPos(id, out, nil)
+	out, w.nbrPos = w.NeighborsPos(id, out, w.nbrPos[:0])
 	return out
 }
 
 // NeighborsPos is NeighborsAppend that additionally appends each
-// neighbor's exact current position to pos (parallel to ids) when pos
-// is non-nil. Routing hot paths use it to avoid recomputing positions
-// the range check already produced.
+// neighbor's exact current position to pos (parallel to ids). Routing
+// hot paths use it to avoid recomputing positions the range check
+// already produced.
 func (w *Network) NeighborsPos(id NodeID, ids []NodeID, pos []geom.Point) ([]NodeID, []geom.Point) {
 	n := w.Node(id)
 	if n == nil || !w.hot[id].up {
 		return ids, pos
 	}
-	if now := w.sim.Now(); w.nbrMemoID != id || w.nbrMemoAt != now || w.nbrMemoVer != w.topoVer {
-		w.scanNeighbors(n, now)
-	}
-	ids = append(ids, w.nbrMemoIDs...)
-	if pos != nil {
-		pos = append(pos, w.nbrMemoPos...)
-	}
-	return ids, pos
+	return w.scanNeighbors(n, ids, pos)
 }
 
-// scanNeighbors runs the grid scan for the sender at the given instant
-// and records the result in the one-entry neighbor memo.
-func (w *Network) scanNeighbors(n *Node, now des.Time) {
-	id := n.ID
-	w.nbrMemoID, w.nbrMemoAt, w.nbrMemoVer = id, now, w.topoVer
-	ids, pos := w.nbrMemoIDs[:0], w.nbrMemoPos[:0]
+// scanBox refreshes the index to the current instant and returns the
+// sender's exact position and the cell box its reach covers. A node in
+// range r has its anchor position within r+slack of the sender, so the
+// box holds every candidate, and a candidate whose anchor lies farther
+// than reach2 from the sender cannot be in range.
+func (w *Network) scanBox(n *Node) (p geom.Point, reach2 float64, c0, c1 cellKey) {
+	now := w.sim.Now()
 	w.refreshTo(now)
-
-	p := w.truePosAt(id, now)
-	// A node in range r has its anchor position within r+slack of p, so
-	// scanning the cells overlapping that disc and prefiltering on the
-	// anchor (no mobility advance) is exhaustive; only candidates inside
-	// the shell get the exact position check.
+	p = w.truePosAt(n.ID, now)
 	reach := n.Radio.Range + w.slack
-	reach2 := reach * reach
-	c0 := w.cellOf(geom.Pt(p.X-reach, p.Y-reach))
-	c1 := w.cellOf(geom.Pt(p.X+reach, p.Y+reach))
+	c0 = w.cellOf(geom.Pt(p.X-reach, p.Y-reach))
+	c1 = w.cellOf(geom.Pt(p.X+reach, p.Y+reach))
+	return p, reach * reach, c0, c1
+}
+
+// scanNeighbors runs the grid scan for the sender at the current
+// instant, appending the neighbors and their exact positions.
+func (w *Network) scanNeighbors(n *Node, ids []NodeID, pos []geom.Point) ([]NodeID, []geom.Point) {
+	id, now := n.ID, w.sim.Now()
+	p, reach2, c0, c1 := w.scanBox(n)
 	r2 := n.pre.Range2
 	// Enumeration order is load-bearing (see the bucket-order comment):
 	// cells are walked row-major — cy ascending, cx ascending — exactly
@@ -891,7 +876,112 @@ func (w *Network) scanNeighbors(n *Node, now des.Time) {
 			}
 		}
 	}
-	w.nbrMemoIDs, w.nbrMemoPos = ids, pos
+	return ids, pos
+}
+
+// GreedyNext returns the greedy geographic next hop from id toward
+// target (GPSR's greedy mode): the live in-range neighbor strictly
+// closer to target than the sender, with the smallest squared distance
+// to it. Ties go to the neighbor a NeighborsPos scan enumerates first,
+// so the result is exactly that of a strict-< pass over NeighborsPos;
+// it is NoNode when the sender is down or no neighbor makes progress.
+//
+// The winner is the minimum of (distance², cell row, cell column, ID),
+// so candidates may be visited in any order, and the query visits only
+// the ones that can still win. hint (a packet's final destination)
+// seeds the search when it passes the scan's own checks. Each row of
+// the sender's reach box is then clipped to the cells whose anchors can
+// lie within lim = best distance + slack of the target (cellOf is
+// monotone and clamps, so the clip is exact at the grid borders too),
+// and an entry whose anchor lies beyond lim is skipped before its
+// mobility model is evaluated. The 1e-6 m margin absorbs the rounding
+// of lim itself.
+func (w *Network) GreedyNext(id NodeID, target geom.Point, hint NodeID) NodeID {
+	n := w.Node(id)
+	if n == nil || !w.hot[id].up {
+		return NoNode
+	}
+	p, reach2, c0, c1 := w.scanBox(n)
+	best, bestD2 := NoNode, p.Dist2(target)
+	var bestCell cellKey
+	if hint != id && w.Node(hint) != nil && w.hot[hint].up {
+		sp := &w.sp[hint]
+		c := sp.cell
+		e := cellEntry{id: hint, x: sp.anchorPos.X, y: sp.anchorPos.Y, static: sp.safeUntil == des.Infinity}
+		if c.cx >= c0.cx && c.cx <= c1.cx && c.cy >= c0.cy && c.cy <= c1.cy {
+			if op, ok := w.inReach(n, p, reach2, &e); ok {
+				if td := op.Dist2(target); td < bestD2 {
+					best, bestD2, bestCell = hint, td, c
+				}
+			}
+		}
+	}
+	lim := math.Sqrt(bestD2) + w.slack + 1e-6
+	lim2 := lim * lim
+	t0 := w.cellOf(geom.Pt(target.X-lim, target.Y-lim))
+	t1 := w.cellOf(geom.Pt(target.X+lim, target.Y+lim))
+	for cy := c0.cy; cy <= min(c1.cy, t1.cy); cy++ {
+		if cy < t0.cy {
+			continue
+		}
+		base := (cy >> tileShift) * w.tileCols
+		iy := (cy & tileMask) << tileShift
+		for cx := max(c0.cx, t0.cx); cx <= min(c1.cx, t1.cx); cx++ {
+			t := w.tiles[base+cx>>tileShift]
+			if t == nil {
+				continue
+			}
+			bucket := t.buckets[iy|cx&tileMask]
+			for i := range bucket {
+				e := &bucket[i]
+				if dx, dy := target.X-e.x, target.Y-e.y; dx*dx+dy*dy > lim2 || e.id == id {
+					continue
+				}
+				op, ok := w.inReach(n, p, reach2, e)
+				if !ok {
+					continue
+				}
+				td := op.Dist2(target)
+				c := cellKey{cx, cy}
+				if td < bestD2 || td == bestD2 && best != NoNode && scanBefore(c, e.id, bestCell, best) {
+					best, bestD2, bestCell = e.id, td, c
+					lim = math.Sqrt(bestD2) + w.slack + 1e-6
+					lim2 = lim * lim
+					t0 = w.cellOf(geom.Pt(target.X-lim, target.Y-lim))
+					t1 = w.cellOf(geom.Pt(target.X+lim, target.Y+lim))
+				}
+			}
+		}
+	}
+	return best
+}
+
+// inReach applies scanNeighbors' checks to one bucket entry: the anchor
+// prefilter against the sender's reach, then the exact range check. It
+// returns the entry's exact position and whether the sender reaches it.
+func (w *Network) inReach(n *Node, p geom.Point, reach2 float64, e *cellEntry) (geom.Point, bool) {
+	dx, dy := p.X-e.x, p.Y-e.y
+	d2 := dx*dx + dy*dy
+	if d2 > reach2 {
+		return geom.Point{}, false
+	}
+	if e.static {
+		return geom.Pt(e.x, e.y), d2 <= n.pre.Range2
+	}
+	op := w.truePosAt(e.id, w.sim.Now())
+	return op, p.Dist2(op) <= n.pre.Range2
+}
+
+// scanBefore reports whether bucket member a of cell ca precedes member
+// b of cell cb in a neighbor scan: row-major cells, then ascending IDs.
+func scanBefore(ca cellKey, a NodeID, cb cellKey, b NodeID) bool {
+	if ca.cy != cb.cy {
+		return ca.cy < cb.cy
+	}
+	if ca.cx != cb.cx {
+		return ca.cx < cb.cx
+	}
+	return a < b
 }
 
 // InRange reports whether a's radio currently reaches b and both are up.
@@ -945,46 +1035,69 @@ func (w *Network) runDelivery(a any, u uint64) {
 }
 
 // transmission is one pooled multi-receiver broadcast in flight: the
-// receiver set and each receiver's exact delivery time, captured at
-// send time into reusable parallel slices (struct-of-arrays scratch),
-// plus the block of schedule sequence numbers reserved for them. A
-// Broadcast schedules a single transmission event instead of one
-// scheduler entry per neighbor; the pending-event set then scales with
-// transmissions, not with transmissions x degree.
+// receivers that survived the loss draw, sorted by delivery key once
+// the first one fires, plus the block of schedule sequence numbers
+// reserved for them. It is
+// the broadcast's one pending event: each execution delivers one
+// receiver and re-schedules the record at the next receiver's key.
 type transmission struct {
 	w    *Network
 	from NodeID
 	pkt  *Packet
-	ids  []NodeID   // receivers in neighbor order
-	at   []des.Time // per-receiver delivery instant, parallel to ids
+	rx   []receiver // sorted by (at, off) from the first delivery on
+	next int        // index of the next receiver to deliver
 	seq  uint64     // first sequence number of the reserved block
-	min  int        // receiver holding the batch's minimal (at, seq) key
 }
 
-// runTransmission dispatches a multi-receiver transmission. It executes
-// at the batch's earliest (time, sequence) key: the remaining receivers
-// are materialized as ordinary delivery events at their original keys
-// (mostly landing in the scheduler's imminent bucket — per-receiver
-// delivery times differ only by propagation, microseconds against
-// millisecond buckets), and the earliest receiver's delivery runs
-// inline. Event-for-event, timestamps, sequence numbers, and the
-// executed-event count are identical to scheduling every delivery at
-// send time.
+// receiver is one pending delivery of a transmission: its exact
+// delivery instant and its offset in the reserved sequence block (its
+// rank among the surviving receivers in neighbor order), which
+// together form its event key.
+type receiver struct {
+	at  des.Time
+	to  NodeID
+	off uint32
+}
+
+// runTransmission delivers the record's next receiver at that
+// receiver's own (time, sequence) key, having first re-scheduled the
+// record at the following receiver's key. Event for event, timestamps,
+// sequence numbers, and the executed-event count are identical to
+// scheduling every delivery at send time.
 func runTransmission(a any) {
 	t := a.(*transmission)
-	w, from, pkt, min := t.w, t.from, t.pkt, t.min
-	for i, to := range t.ids {
-		if i == min {
-			continue
-		}
-		w.sim.ScheduleCallSeqU(t.at[i], t.seq+uint64(i), w.deliverFn, pkt, packHop(from, to))
+	if t.next == 0 {
+		sortReceivers(t.rx)
 	}
-	inlineTo := t.ids[min]
-	t.pkt = nil
-	t.ids = t.ids[:0]
-	t.at = t.at[:0]
-	w.freeTx = append(w.freeTx, t) // recycle before the handler runs
-	w.deliver(from, inlineTo, pkt)
+	w, from, pkt := t.w, t.from, t.pkt
+	to := t.rx[t.next].to
+	t.next++
+	if t.next < len(t.rx) {
+		r := t.rx[t.next]
+		w.sim.ScheduleCallSeq(r.at, t.seq+uint64(r.off), runTransmission, t)
+	} else {
+		t.pkt = nil
+		t.rx = t.rx[:0]
+		w.freeTx = append(w.freeTx, t) // recycle before the handler runs
+	}
+	w.deliver(from, to, pkt)
+}
+
+// sortReceivers insertion-sorts a transmission's receivers by delivery
+// time. They were appended in offset order and the sort is stable, so
+// equal times keep ascending offsets: the result is in (at, off) key
+// order. Degrees are small and the compare inlines, which beats a
+// generic sort's indirect calls. Broadcast defers the sort to the first
+// delivery, so a send costs one pass over its receivers.
+func sortReceivers(rx []receiver) {
+	for i := 1; i < len(rx); i++ {
+		r, j := rx[i], i
+		for j > 0 && rx[j-1].at > r.at {
+			rx[j] = rx[j-1]
+			j--
+		}
+		rx[j] = r
+	}
 }
 
 func (w *Network) allocTransmission() *transmission {
@@ -1032,73 +1145,54 @@ func (w *Network) Unicast(from, to NodeID, pkt *Packet) bool {
 // draws loss independently. It returns the number of neighbors the
 // packet was put on air to.
 //
-// The receivers that survive the loss draw are batched into one pooled
-// transmission event rather than one scheduler entry each; the batch
-// reserves the same sequence numbers immediate scheduling would have
-// consumed and expands at its earliest delivery key (runTransmission),
-// so delivery timestamps, tie-break order, and the executed-event count
-// are bit-identical to the unbatched path.
+// Loss draws and sequence reservation happen here, in neighbor order:
+// the receivers that survive get the same sequence numbers immediate
+// scheduling would have consumed. They then wait in one pooled
+// transmission record, sorted by delivery key, behind a single pending
+// event (runTransmission), so delivery timestamps, tie-break order, and
+// the executed-event count are bit-identical to one event per receiver.
 func (w *Network) Broadcast(from NodeID, pkt *Packet) int {
 	src := w.Node(from)
 	if src == nil || !w.hot[from].up {
 		return 0
 	}
 	now := w.sim.Now()
-	if w.nbrMemoID != from || w.nbrMemoAt != now || w.nbrMemoVer != w.topoVer {
-		w.scanNeighbors(src, now)
-	}
-	// Read the memo slices directly — nothing in the loop below can
-	// trigger a rescan, and the per-transmission copy into caller
-	// scratch is measurable at 10k-scale broadcast volume.
-	nbrs, poss := w.nbrMemoIDs, w.nbrMemoPos
+	w.nbrIDs, w.nbrPos = w.scanNeighbors(src, w.nbrIDs[:0], w.nbrPos[:0])
+	nbrs := w.nbrIDs
 	w.account(src, pkt)
 	sp := w.truePos(src)
 	t := w.allocTransmission()
 	// Size a fresh (or smaller) record once instead of growing it by
 	// doubling: records recycle, so this settles at the peak degree.
-	t.ids = slices.Grow(t.ids, len(nbrs))
-	t.at = slices.Grow(t.at, len(nbrs))
+	t.rx = slices.Grow(t.rx, len(nbrs))
 	for i, to := range nbrs {
 		if src.Radio.Lost(&src.rng) {
 			w.lost++
 			continue
 		}
-		d2 := sp.Dist2(poss[i])
-		t.ids = append(t.ids, to)
-		t.at = append(t.at, now+des.Duration(src.pre.HopDelay2(pkt.Size, d2)))
+		d2 := sp.Dist2(w.nbrPos[i])
+		at := now + des.Duration(src.pre.HopDelay2(pkt.Size, d2))
+		t.rx = append(t.rx, receiver{at: at, to: to, off: uint32(len(t.rx))})
 	}
-	n := len(t.ids)
-	if n <= 1 {
-		if n == 1 {
-			// Schedule the lone delivery at its absolute time with the
-			// one sequence number the unbatched path would have used —
-			// a relative re-derivation (at-now) can land 1 ulp off.
-			if pkt.pooled {
-				pkt.refs++
-			}
-			w.sim.ScheduleCallSeqU(t.at[0], w.sim.ReserveSeqs(1), w.deliverFn, pkt, packHop(from, t.ids[0]))
-			t.ids = t.ids[:0]
-			t.at = t.at[:0]
-		}
+	n := len(t.rx)
+	if n == 0 {
 		w.freeTx = append(w.freeTx, t)
 		return len(nbrs)
 	}
-	t.w, t.from, t.pkt = w, from, pkt
+	t.w, t.from, t.pkt, t.next = w, from, pkt, 0
 	if pkt.pooled {
 		pkt.refs += int32(n) // one reference per eventual delivery
 	}
 	t.seq = w.sim.ReserveSeqs(n)
-	// The dispatch key is the earliest (time, sequence) of the batch:
-	// the first index attaining the minimal time (reserved sequence
-	// numbers increase with the index).
-	min := 0
+	// The first key is the earliest time's lowest offset; runTransmission
+	// sorts the rest when it fires there.
+	first := 0
 	for i := 1; i < n; i++ {
-		if t.at[i] < t.at[min] {
-			min = i
+		if t.rx[i].at < t.rx[first].at {
+			first = i
 		}
 	}
-	t.min = min
-	w.sim.ScheduleCallSeq(t.at[min], t.seq+uint64(min), runTransmission, t)
+	w.sim.ScheduleCallSeq(t.rx[first].at, t.seq+uint64(first), runTransmission, t)
 	return len(nbrs)
 }
 
