@@ -56,9 +56,10 @@
 //     closure, letting high-volume callers (the network layer
 //     schedules its packet transmissions this way) avoid a closure
 //     allocation per event. ReserveSeqs and ScheduleCallSeq let a
-//     caller batch several events behind one (the network's
-//     multi-receiver broadcast transmissions) while keeping each
-//     event's original place in the total order.
+//     caller keep several events behind one pending entry (the
+//     network's broadcast transmissions re-schedule one record from
+//     receiver to receiver) while each event keeps its original place
+//     in the total order.
 package des
 
 import (
@@ -218,8 +219,8 @@ func (s *Simulator) Executed() uint64 { return s.executed }
 
 // Pending returns the number of entries currently scheduled, including
 // cancelled events the queue has not reclaimed yet. A multi-event batch
-// scheduled behind one dispatch entry (see ReserveSeqs) counts as one
-// until it expands.
+// kept behind one entry that re-schedules itself (see ReserveSeqs)
+// counts as one.
 func (s *Simulator) Pending() int { return s.count }
 
 // SetHorizon caps the run: events scheduled after t never execute. A run
@@ -318,7 +319,7 @@ func (s *Simulator) AfterCallU(d Duration, fn func(any, uint64), arg any, u uint
 // ReserveSeqs reserves a contiguous block of n schedule sequence numbers
 // and returns the first. A caller that fans one physical event into n
 // logical ones (the network's multi-receiver broadcast transmissions)
-// reserves the block at send time and materializes the events later via
+// reserves the block at send time and schedules the events later via
 // ScheduleCallSeq; because the total order is (timestamp, sequence), the
 // late events still execute exactly where immediate scheduling would
 // have put them.
@@ -332,8 +333,8 @@ func (s *Simulator) ReserveSeqs(n int) uint64 {
 // sequence number previously obtained from ReserveSeqs. The caller must
 // guarantee that (at, seq) is still in the future of the execution
 // order, i.e. at >= Now() and no event ordered after (at, seq) has
-// executed yet; reserving at send time and expanding at the batch's
-// earliest (at, seq) satisfies this by construction.
+// executed yet; reserving at send time and scheduling the batch's keys
+// one at a time in ascending order satisfies this by construction.
 func (s *Simulator) ScheduleCallSeq(at Time, seq uint64, fn func(any), arg any) Handle {
 	if at < s.now {
 		panic(fmt.Sprintf("des: scheduling at %v before now %v", at, s.now))
@@ -400,9 +401,12 @@ func (s *Simulator) insert(e entry) {
 		if idx <= s.cur {
 			// The clock already reached this bucket: the entry joins the
 			// imminent side heap directly (e.at >= now keeps order
-			// intact). The side heap stays small — it only ever holds
-			// events scheduled after their bucket started draining,
-			// i.e. the short causality chains of the current instant.
+			// intact). The side heap holds only events scheduled after
+			// their bucket started draining: the causality chains of
+			// the current instant, and one re-scheduled record per
+			// broadcast in flight (the network keeps each
+			// transmission's receivers behind a single event), so it
+			// scales with transmissions, not receivers.
 			s.side = heapPush(s.side, e)
 		} else {
 			b := s.buckets[idx]
