@@ -106,18 +106,7 @@ func BenchmarkGreedyNext(b *testing.B) {
 	b.Run("pruned", func(b *testing.B) {
 		run(b, func(net *Network, q query) NodeID { return net.GreedyNext(q.from, q.target, q.hint) })
 	})
-	var ids []NodeID
-	var pos []geom.Point
 	b.Run("linear", func(b *testing.B) {
-		run(b, func(net *Network, q query) NodeID {
-			best, bestD2 := NoNode, net.Node(q.from).TruePos().Dist2(q.target)
-			ids, pos = net.NeighborsPos(q.from, ids[:0], pos[:0])
-			for i, id := range ids {
-				if d2 := pos[i].Dist2(q.target); d2 < bestD2 {
-					best, bestD2 = id, d2
-				}
-			}
-			return best
-		})
+		run(b, func(net *Network, q query) NodeID { return linearGreedy(net, q.from, q.target) })
 	})
 }

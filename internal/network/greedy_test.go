@@ -13,16 +13,17 @@ import (
 
 // linearGreedy is the reference greedy next hop: a strict-< pass over
 // the sender's NeighborsPos list, so ties go to the neighbor the scan
-// enumerates first.
+// enumerates first. It borrows the network's neighbor scratch, so it
+// allocates nothing (BenchmarkGreedyNext times it).
 func linearGreedy(net *Network, id NodeID, target geom.Point) NodeID {
 	n := net.Node(id)
 	if n == nil || !n.Up() {
 		return NoNode
 	}
-	ids, pos := net.NeighborsPos(id, nil, nil)
+	net.nbrIDs, net.nbrPos = net.NeighborsPos(id, net.nbrIDs[:0], net.nbrPos[:0])
 	best, bestD2 := NoNode, n.TruePos().Dist2(target)
-	for i, nb := range ids {
-		if d2 := pos[i].Dist2(target); d2 < bestD2 {
+	for i, nb := range net.nbrIDs {
+		if d2 := net.nbrPos[i].Dist2(target); d2 < bestD2 {
 			best, bestD2 = nb, d2
 		}
 	}

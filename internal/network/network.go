@@ -905,6 +905,8 @@ func (w *Network) GreedyNext(id NodeID, target geom.Point, hint NodeID) NodeID {
 	best, bestD2 := NoNode, p.Dist2(target)
 	var bestCell cellKey
 	if hint != id && w.Node(hint) != nil && w.hot[hint].up {
+		// The hint's bucket entry, rebuilt from its spatial state (only
+		// static nodes never expire).
 		sp := &w.sp[hint]
 		c := sp.cell
 		e := cellEntry{id: hint, x: sp.anchorPos.X, y: sp.anchorPos.Y, static: sp.safeUntil == des.Infinity}
