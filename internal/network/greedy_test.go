@@ -58,7 +58,7 @@ func newGreedyWorld(seed uint64) *greedyWorld {
 		}
 		return radio.DefaultMN
 	}
-	for i := 0; i < 3+rng.Intn(4); i++ {
+	for i, n := 0, 3+rng.Intn(4); i < n; i++ {
 		g.targets = append(g.targets, geom.Pt(rng.Range(-100, 1100), rng.Range(-100, 1100)))
 	}
 	add := func(m mobility.Model) *Node { return net.AddNode(m, radioOf(), nil, false) }
